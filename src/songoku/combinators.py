@@ -62,17 +62,17 @@ def project_within_group(gradients, rng: np.random.Generator | None = None):
     if n <= 1:
         return [np.array(g, dtype=np.float64, copy=True) for g in gradients]
     out = [np.array(g, dtype=np.float64, copy=True) for g in gradients]
+    sq = [float(g @ g) for g in gradients]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     if rng is not None:
         rng.shuffle(pairs)
     for i, j in pairs:
-        gj = gradients[j]
-        denom = float(gj @ gj)
-        if denom <= 0.0:
+        if sq[j] <= 0.0:
             continue
+        gj = gradients[j]
         dot = float(out[i] @ gj)
         if dot < 0.0:
-            out[i] = out[i] - (dot / denom) * gj
+            out[i] = out[i] - (dot / sq[j]) * gj
     if n >= 3 and logger.isEnabledFor(logging.DEBUG):
         residual = min(
             float(out[i] @ out[j]) for i in range(n) for j in range(i + 1, n)

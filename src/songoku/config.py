@@ -131,7 +131,7 @@ _FIELDS = [
     Field("sketch_mode", "str", "dense",
           choices=("dense", "jl", "fd", "edge_sample", "incremental")),
     Field("sketch_r", "int", 32, low=1),
-    Field("sketch_ell", "int", 8, low=1),
+    Field("sketch_ell", "int", 8, low=2),
     Field("sketch_epsilon", "float", 0.1, low=0.0, low_open=True),
     Field("pair_budget", "opt_int", None, low=1),
     Field("change_threshold", "float", 0.05, low=0.0),

@@ -42,7 +42,6 @@ class GradStats:
         if self.steps is None:
             self.steps = np.zeros(K, dtype=np.int64)
         if self.excluded is None:
-            self.excluded = np.ones(K, dtype=bool)
             self._refresh_excluded()
 
     @classmethod
@@ -57,33 +56,39 @@ class GradStats:
     def d(self) -> int:
         return self.ema.shape[1]
 
-    def _refresh_excluded(self, task: int | None = None) -> None:
-        if task is None:
-            norms = np.linalg.norm(self.ema, axis=1)
-            self.excluded = norms < self.norm_floor
-        else:
-            self.excluded[task] = np.linalg.norm(self.ema[task]) < self.norm_floor
+    def _refresh_excluded(self) -> None:
+        self.excluded = np.linalg.norm(self.ema, axis=1) < self.norm_floor
 
     def included_count(self) -> int:
         return int(np.count_nonzero(~self.excluded))
 
 
-def update_ema(stats: GradStats, task: int, grad: np.ndarray) -> GradStats:
-    """Blend ``grad`` into task's EMA row: row <- beta*row + (1-beta)*grad.
+def update_ema(stats: GradStats, task, grad) -> GradStats:
+    """Blend gradients into EMA rows: row <- beta*row + (1-beta)*grad.
 
-    Mutates ``stats`` in place and returns it.  Only the given row and its
-    excluded flag change.
+    ``task`` is one index with a (d,) gradient, or a strictly ascending
+    sequence of n indices with an (n, d) block whose rows go to those tasks
+    in order.  A block folds in one elementwise pass whose EMA rows are
+    bit-identical to one call per row.  Mutates ``stats`` in place and
+    returns it; only the given rows, their step counts and their excluded
+    flags change.
     """
-    if not (0 <= task < stats.K):
+    rows = np.asarray(task)
+    seq = rows.reshape(-1).tolist()
+    if rows.ndim > 1 or any(a >= b for a, b in zip(seq, seq[1:])):
+        raise ValueError(f"task rows {task} must be one index or strictly ascending")
+    if seq and not (0 <= seq[0] and seq[-1] < stats.K):
         raise IndexError(f"task index {task} outside [0, {stats.K})")
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != (stats.d,):
+    if grad.shape != rows.shape + (stats.d,):
         raise ValueError(
-            f"gradient for task {task} has dimension {grad.shape}, expected ({stats.d},)"
+            f"gradient for task {task} has dimension {grad.shape}, "
+            f"expected {rows.shape + (stats.d,)}"
         )
-    stats.ema[task] = stats.beta * stats.ema[task] + (1.0 - stats.beta) * grad
-    stats.steps[task] += 1
-    stats._refresh_excluded(task)
+    new = stats.beta * stats.ema[rows] + (1.0 - stats.beta) * grad
+    stats.ema[rows] = new
+    stats.steps[rows] += 1
+    stats.excluded[rows] = np.linalg.norm(new, axis=-1) < stats.norm_floor
     return stats
 
 
@@ -177,7 +182,9 @@ def interference_matrix(stats: GradStats) -> InterferenceMatrix:
     return InterferenceMatrix(rho=rho, included=included)
 
 
-def tau_eff(gradients: list[np.ndarray] | np.ndarray) -> float:
+def tau_eff(
+    gradients: list[np.ndarray] | np.ndarray, gram: np.ndarray | None = None
+) -> float:
     """Aggregate conflict ratio of a gradient set.
 
     Sum over ordered pairs i != j of the clipped negative inner products,
@@ -185,21 +192,20 @@ def tau_eff(gradients: list[np.ndarray] | np.ndarray) -> float:
 
         tau_eff = sum_{i != j} max(0, -<g_i, g_j>) / sum_k ||g_k||^2.
 
-    An all-zero set has no conflict and returns 0.
+    ``gram`` is the set's Gram matrix ``G @ G.T`` when the caller already
+    has it; ``gradients`` is then not read.  An all-zero set has no conflict
+    and returns 0.
     """
-    G = np.asarray(gradients, dtype=np.float64)
-    if G.ndim == 1:
-        G = G[None, :]
-    if G.shape[0] == 0:
-        return 0.0
-    gram = G @ G.T
+    if gram is None:
+        G = np.asarray(gradients, dtype=np.float64)
+        if G.ndim == 1:
+            G = G[None, :]
+        gram = G @ G.T
     denom = float(np.trace(gram))
     if denom == 0.0:
         return 0.0
-    off = gram.copy()
-    np.fill_diagonal(off, 0.0)
-    neg = np.clip(-off, 0.0, None)
-    return float(neg.sum() / denom)
+    # a Gram diagonal is nonnegative: the negative part is all off-diagonal
+    return float(-np.minimum(gram, 0.0).sum() / denom)
 
 
 def is_tau_compatible(gradients: list[np.ndarray] | np.ndarray, tau: float) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 CSV_SCHEMA = "# run_record v1"
 CSV_COLUMNS = "t,tau,m,active_mask,loss,grad_norm,refresh"
@@ -73,13 +73,18 @@ class WindowRecord:
     frozen: bool = False
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["edges"] = [list(e) for e in self.edges]
-        d["color_of"] = list(self.color_of)
-        d["classes"] = [list(c) for c in self.classes]
-        d["extra_slots"] = {str(s): list(ts) for s, ts in self.extra_slots}
-        d["coverage_failures"] = list(self.coverage_failures)
-        return d
+        return {
+            "r": self.r,
+            "t_start": self.t_start,
+            "tau": self.tau,
+            "m": self.m,
+            "edges": [list(e) for e in self.edges],
+            "color_of": list(self.color_of),
+            "classes": [list(c) for c in self.classes],
+            "extra_slots": {str(s): list(ts) for s, ts in self.extra_slots},
+            "coverage_failures": list(self.coverage_failures),
+            "frozen": self.frozen,
+        }
 
 
 @dataclass

@@ -11,11 +11,13 @@ duck-typed oracles::
         def init_theta(self) -> np.ndarray: ...                  # optional
 
 Probe gradients at a refresh are one fresh ``gradient`` draw per task.
+A gradient of the wrong dimension or with a non-finite entry stops the run
+with ``ValueError`` naming the task and the step.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -219,15 +221,21 @@ def refresh(
     probe_gradients,
     tau: float,
     graph_builder=None,
+    step: int | None = None,
 ) -> SchedulerState:
     """Fold probes into the statistics, rebuild graph/coloring, open a window.
 
-    ``probe_gradients`` must cover every task (index-addressable).  When the
-    state is frozen (static-grouping ablation) the statistics still advance
-    but the existing schedule is retained.
+    ``probe_gradients`` must cover every task (index-addressable).  A probe
+    of the wrong dimension or with a non-finite entry raises ``ValueError``
+    naming the task, and ``step`` when given.  When the state is frozen
+    (static-grouping ablation) the statistics still advance but the existing
+    schedule is retained.
     """
-    for k in range(state.cfg.K):
-        update_ema(state.stats, k, np.asarray(probe_gradients[k], dtype=np.float64))
+    K = state.cfg.K
+    probes = _gradient_block(
+        [probe_gradients[k] for k in range(K)], range(K), state.cfg.d, step, "probe gradient"
+    )
+    update_ema(state.stats, np.arange(K), probes)
     if not state.frozen:
         try:
             if graph_builder is not None:
@@ -250,20 +258,39 @@ def refresh(
     return state
 
 
-def _descent_hook(gradients) -> None:
-    """Assumption-free aggregate-descent check on the applied gradients."""
-    if not gradients:
-        return
-    total = np.zeros_like(gradients[0])
-    sq = 0.0
-    for g in gradients:
-        total += g
-        sq += float(g @ g)
-    lhs = float(total @ total)
-    rhs = (1.0 - tau_eff(gradients)) * sq
-    if lhs < rhs - 1e-9 * max(sq, 1.0):
+def _slots(schedule: AugmentedSchedule) -> list:
+    """Per slot of a window: its ascending tasks, their EMA rows and mask."""
+    slots = [tuple(schedule.slot_tasks(s)) for s in range(1, schedule.m + 1)]
+    return [(ts, np.array(ts, dtype=np.intp), active_mask(ts)) for ts in slots]
+
+
+def _gradient_block(grads, tasks, d: int, step, kind: str = "gradient") -> np.ndarray:
+    """``grads``, one per task of ``tasks``, as one (n, d) float64 block.  A
+    wrong dimension or a non-finite entry raises ValueError naming the task,
+    and the step unless it is None."""
+    at = "" if step is None else f" at step {step}"
+    for k, g in zip(tasks, grads):
+        if np.shape(g) != (d,):
+            raise ValueError(
+                f"{kind} for task {k}{at} has dimension {np.shape(g)}, expected ({d},)"
+            )
+    G = np.asarray(grads, dtype=np.float64)
+    if not np.isfinite(G).all():
+        bad = tasks[int(np.flatnonzero(~np.isfinite(G).all(axis=1))[0])]
+        raise ValueError(f"non-finite {kind} for task {bad}{at}")
+    return G
+
+
+def _check_descent(A: np.ndarray, sq_total: float, t: int) -> None:
+    """Assumption-free aggregate-descent check on the applied block ``A``,
+    whose sum has squared norm ``sq_total``: |sum g|^2 >= (1 - tau_eff) *
+    sum ||g||^2, with sum ||g||^2 and tau_eff read off one Gram matrix."""
+    gram = A @ A.T
+    sq = float(np.trace(gram))
+    rhs = (1.0 - tau_eff(A, gram=gram)) * sq
+    if sq_total < rhs - 1e-9 * max(sq, 1.0):
         raise RuntimeError(
-            f"aggregate descent bound violated: |sum|^2={lhs} < {rhs}"
+            f"aggregate descent bound violated at step {t}: |sum|^2={sq_total} < {rhs}"
         )
 
 
@@ -308,41 +335,47 @@ def run(
     record.windows.append(_window_record(state, t_start=0))
     eta = cfg.step_size()
     clock = getattr(oracle, "set_time", None)
+    transforms = combinators is not None and combinators.mode != "none"
+    slots = _slots(state.schedule)
     for t in range(cfg.T):
         if clock is not None:
             clock(t)
         tau_t = anneal_tau(t, cfg)
-        tasks = active_set(state, t)
         m_t = state.schedule.m
-        grads = {
-            k: np.asarray(oracle.gradient(k, state.theta, state.rng), dtype=np.float64)
-            for k in tasks
-        }
-        loss = float(oracle.loss(state.theta))
-        applied = apply_combinators(
-            tasks, [grads[k] for k in tasks], combinators, state.scale_state, state.rng
+        tasks, rows, mask = slots[(t - state.t_r) % m_t]
+        G = _gradient_block(
+            [oracle.gradient(k, state.theta, state.rng) for k in tasks], tasks, cfg.d, t
         )
-        _descent_hook(applied)
-        apply_update(state, tasks, dict(zip(tasks, applied)), None, eta)
-        for k in tasks:
-            update_ema(state.stats, k, grads[k])
+        loss = float(oracle.loss(state.theta))
+        A = G
+        if transforms:
+            A = np.array(
+                apply_combinators(tasks, G, combinators, state.scale_state, state.rng)
+            )
+        # an axis-0 sum adds the rows in task order, like a running
+        # `total += g`, so the update and grad_norm keep their bits
+        total = A.sum(axis=0)
+        sq_total = float(total @ total)
+        _check_descent(A, sq_total, t)
+        state.theta -= eta * total
+        update_ema(state.stats, rows, G)
         did_refresh = (t + 1) % cfg.R == 0
         if did_refresh:
             if clock is not None:
                 clock(t + 1)
             probes = [oracle.gradient(k, state.theta, state.rng) for k in range(cfg.K)]
-            refresh(state, probes, anneal_tau(t, cfg), graph_builder)
+            refresh(state, probes, anneal_tau(t, cfg), graph_builder, step=t + 1)
+            slots = _slots(state.schedule)
             state.t_r = t + 1
             record.windows.append(_window_record(state, t_start=t + 1))
-        gnorm = float(np.linalg.norm(np.sum(applied, axis=0))) if applied else 0.0
         record.steps.append(
             StepRow(
                 t=t,
                 tau=float(tau_t),
                 m=m_t,
-                active_mask=active_mask(tasks),
+                active_mask=mask,
                 loss=loss,
-                grad_norm=gnorm,
+                grad_norm=math.sqrt(sq_total),
                 refresh=did_refresh,
             )
         )

@@ -55,8 +55,8 @@ class SketchConfig:
             raise ValueError(f"mode={self.mode!r} not in {SKETCH_MODES}")
         if self.r < 1:
             raise ValueError(f"r={self.r} must be >= 1")
-        if self.ell < 1:
-            raise ValueError(f"ell={self.ell} must be >= 1")
+        if self.ell < 2:
+            raise ValueError(f"ell={self.ell} must be >= 2")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon={self.epsilon} must be > 0")
         if self.pair_budget is not None and self.pair_budget < 1:

@@ -42,6 +42,37 @@ class TestProjection:
         (out,) = project_within_group([np.array([3.0, -1.0])])
         np.testing.assert_array_equal(out, [3.0, -1.0])
 
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_matches_per_pair_norms_bit_for_bit(self, seed):
+        def per_pair(gradients, rng):
+            # the pass with ||g_j||^2 recomputed for every ordered pair
+            n = len(gradients)
+            out = [np.array(g, dtype=np.float64, copy=True) for g in gradients]
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            if rng is not None:
+                rng.shuffle(pairs)
+            for i, j in pairs:
+                gj = gradients[j]
+                denom = float(gj @ gj)
+                if denom <= 0.0:
+                    continue
+                dot = float(out[i] @ gj)
+                if dot < 0.0:
+                    out[i] = out[i] - (dot / denom) * gj
+            return out
+
+        data = np.random.default_rng(9)
+        for n in (2, 3, 6, 11):
+            G = data.standard_normal((n, 17))
+            G[n // 2] = 0.0
+            rng_a = None if seed is None else np.random.default_rng(seed)
+            rng_b = None if seed is None else np.random.default_rng(seed)
+            got = project_within_group(list(G), rng_a)
+            want = per_pair(list(G), rng_b)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            if seed is not None:   # the same draws were consumed
+                assert rng_a.random() == rng_b.random()
+
     @given(
         hnp.arrays(
             np.float64,

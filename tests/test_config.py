@@ -208,6 +208,14 @@ class TestCrossValidation:
         cfg = parse_config(overrides={"steps": 0, "T_warm": 0})
         assert cfg["steps"] == 0
 
+    def test_single_row_sketch_rejected_at_parse_time(self):
+        # Frequent Directions needs ell >= 2; this used to fail mid-run
+        with pytest.raises(ConfigError) as err:
+            parse_config(overrides={"sketch_mode": "fd", "sketch_ell": 1})
+        assert err.value.field == "sketch_ell"
+        assert "[2, inf)" in str(err.value)
+        assert parse_config(overrides={"sketch_ell": 2})["sketch_ell"] == 2
+
     def test_groups_cannot_exceed_tasks(self):
         with pytest.raises(ConfigError) as err:
             parse_config(overrides={"K": 2, "groups": 3})

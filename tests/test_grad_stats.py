@@ -42,6 +42,36 @@ class TestGradStats:
         with pytest.raises(ValueError, match="dimension"):
             update_ema(stats, 0, np.zeros(4))
 
+    def test_batched_fold_equals_per_row_calls_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        ema0 = rng.standard_normal((7, 33))
+        ema0[5] = 0.0
+        rows = np.array([0, 2, 3, 5])
+        block = rng.standard_normal((4, 33)) * np.array([[1.0], [1e-3], [1e3], [1e-12]])
+        batched = GradStats(ema=ema0.copy(), beta=0.85, norm_floor=1e-9)
+        per_row = GradStats(ema=ema0.copy(), beta=0.85, norm_floor=1e-9)
+        update_ema(batched, rows, block)
+        for k, g in zip(rows, block):
+            update_ema(per_row, int(k), g)
+        expect = ema0.copy()
+        expect[rows] = 0.85 * ema0[rows] + (1.0 - 0.85) * block
+        assert batched.ema.tobytes() == per_row.ema.tobytes() == expect.tobytes()
+        assert batched.steps.tolist() == per_row.steps.tolist() == [1, 0, 1, 1, 0, 1, 0]
+        assert batched.excluded.tolist() == per_row.excluded.tolist()
+        assert batched.excluded[5] and not batched.excluded[0]
+
+    def test_batched_fold_rejects_bad_rows(self):
+        stats = GradStats.zeros(3, 2, beta=0.9)
+        with pytest.raises(ValueError, match="ascending"):
+            update_ema(stats, [2, 0], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="ascending"):
+            update_ema(stats, [1, 1], np.zeros((2, 2)))
+        with pytest.raises(IndexError):
+            update_ema(stats, [1, 3], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="dimension"):
+            update_ema(stats, [0, 1], np.zeros((2, 3)))
+        assert stats.steps.tolist() == [0, 0, 0]
+
     def test_beta_range_enforced(self):
         with pytest.raises(ValueError):
             GradStats.zeros(2, 2, beta=1.0)

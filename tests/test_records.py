@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -108,3 +109,22 @@ class TestHashAndSummary:
             )
         )
         assert rec.to_summary()["coverage_failures"] == [0, 1]
+
+    def test_window_dict_matches_asdict_render(self):
+        w = WindowRecord(
+            r=3, t_start=48, tau=0.25, m=3, edges=((0, 2), (1, 4), (2, 3)),
+            color_of=(1, 2, 2, 1, 3), classes=((0, 3), (1, 2), (4,)),
+            extra_slots=((1, (4,)), (3, (0, 3))), coverage_failures=(1, 2),
+            frozen=True,
+        )
+        ref = dataclasses.asdict(w)
+        ref["edges"] = [list(e) for e in w.edges]
+        ref["color_of"] = list(w.color_of)
+        ref["classes"] = [list(c) for c in w.classes]
+        ref["extra_slots"] = {str(s): list(ts) for s, ts in w.extra_slots}
+        ref["coverage_failures"] = list(w.coverage_failures)
+        got = w.to_dict()
+        assert got == ref and list(got) == list(ref)
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
+            ref, indent=2, sort_keys=True
+        )

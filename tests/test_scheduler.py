@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from songoku.combinators import CombinatorConfig
-from songoku.records import parse_csv, tasks_from_mask
+from songoku import scheduler
+from songoku.combinators import CombinatorConfig, apply_combinators
+from songoku.grad_stats import tau_eff, update_ema
+from songoku.records import RunRecord, StepRow, active_mask, parse_csv, tasks_from_mask
 from songoku.scheduler import (
     SchedulerConfig,
     active_set,
@@ -243,3 +245,163 @@ class TestRun:
         rows = parse_csv(record.to_csv())
         assert len(rows) == 24
         assert rows[0].t == 0 and rows[-1].refresh
+
+
+def reference_run(cfg, oracle, combinators=None, graph_builder=None):
+    """The step loop as a per-task walk: a dict of gradients, the descent
+    check summing them one by one with ``tau_eff``, ``apply_update`` and one
+    ``update_ema`` call per active task."""
+    record = RunRecord(
+        config=cfg.to_dict(),
+        combinator_mode=combinators.mode if combinators else "none",
+    )
+    theta0 = oracle.init_theta() if hasattr(oracle, "init_theta") else None
+    state = init_state(cfg, theta0, combinators)
+    record.windows.append(scheduler._window_record(state, t_start=0))
+    eta = cfg.step_size()
+    for t in range(cfg.T):
+        tau_t = anneal_tau(t, cfg)
+        tasks = tuple(state.schedule.active_for_offset(t - state.t_r))
+        m_t = state.schedule.m
+        grads = {
+            k: np.asarray(oracle.gradient(k, state.theta, state.rng), dtype=np.float64)
+            for k in tasks
+        }
+        loss = float(oracle.loss(state.theta))
+        applied = apply_combinators(
+            tasks, [grads[k] for k in tasks], combinators, state.scale_state, state.rng
+        )
+        total = np.zeros_like(applied[0])
+        sq = 0.0
+        for g in applied:
+            total += g
+            sq += float(g @ g)
+        assert float(total @ total) >= (1.0 - tau_eff(applied)) * sq - 1e-9 * max(sq, 1.0)
+        apply_update(state, tasks, dict(zip(tasks, applied)), None, eta)
+        for k in tasks:
+            update_ema(state.stats, k, grads[k])
+        did_refresh = (t + 1) % cfg.R == 0
+        if did_refresh:
+            probes = [oracle.gradient(k, state.theta, state.rng) for k in range(cfg.K)]
+            refresh(state, probes, anneal_tau(t, cfg), graph_builder)
+            state.t_r = t + 1
+            record.windows.append(scheduler._window_record(state, t_start=t + 1))
+        record.steps.append(
+            StepRow(
+                t=t,
+                tau=float(tau_t),
+                m=m_t,
+                active_mask=active_mask(tasks),
+                loss=loss,
+                grad_norm=float(np.linalg.norm(np.sum(applied, axis=0))),
+                refresh=did_refresh,
+            )
+        )
+    return record, state
+
+
+def per_row_update_ema(stats, task, grad):
+    """``update_ema`` one row at a time, for the reference's probe folds."""
+    rows = np.atleast_1d(task)
+    block = np.asarray(grad, dtype=np.float64).reshape(len(rows), -1)
+    for k, g in zip(rows.tolist(), block):
+        update_ema(stats, k, g)
+    return stats
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("mode", ["none", "project", "adaptive_scale", "project_and_scale"])
+    def test_matches_per_task_reference_bit_for_bit(self, mode, monkeypatch):
+        suite = make_planted_suite(
+            K=6, d=12, groups=3, tau=0.4, gamma=0.09, sigma=0.3, m0=1.0, seed=12
+        )
+        cfg = SchedulerConfig(
+            K=6, d=12, T=96, R=16, beta=0.9, tau_star=0.4, f_min=2, eta=0.05, seed=12
+        )
+        comb = CombinatorConfig(mode=mode)
+        states = []
+
+        def capture(*args, **kwargs):
+            states.append(init_state(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(scheduler, "init_state", capture)
+        record = run(cfg, PlantedOracle(suite), combinators=comb)
+        monkeypatch.undo()
+        monkeypatch.setattr(scheduler, "update_ema", per_row_update_ema)
+        expect, ref_state = reference_run(cfg, PlantedOracle(suite), combinators=comb)
+
+        assert any(w.extra_slots for w in record.windows)   # extra slots were served
+        assert record.to_csv() == expect.to_csv()
+        assert record.windows == expect.windows
+        (state,) = states
+        for name in ("ema", "steps", "excluded"):
+            got, want = getattr(state.stats, name), getattr(ref_state.stats, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert state.theta.tobytes() == ref_state.theta.tobytes()
+
+
+class FaultyOracle(PlantedOracle):
+    """Planted oracle whose task ``bad`` returns ``fault(gradient)`` from
+    clock value ``start`` on."""
+
+    def __init__(self, suite, bad, fault, start=0):
+        super().__init__(suite)
+        self.bad, self.fault, self.start, self.now = bad, fault, start, 0
+
+    def set_time(self, t):
+        self.now = t
+
+    def gradient(self, task, theta, rng):
+        g = super().gradient(task, theta, rng)
+        return self.fault(g) if task == self.bad and self.now >= self.start else g
+
+
+def with_nan(g):
+    g = np.array(g, dtype=np.float64)
+    g[0] = np.nan
+    return g
+
+
+class TestBadGradients:
+    cfg = SchedulerConfig(K=8, d=32, T=128, R=32, beta=0.9, tau_star=0.5, eta=0.05, seed=0)
+
+    def suite(self):
+        return make_planted_suite(
+            K=8, d=32, groups=2, tau=0.5, gamma=0.3, sigma=0.5, m0=1.0, seed=0
+        )
+
+    def test_nan_gradient_raises_naming_task_and_step(self):
+        with pytest.raises(ValueError, match=r"non-finite gradient for task 3 at step 0\b"):
+            run(self.cfg, FaultyOracle(self.suite(), 3, with_nan))
+
+    def test_nan_probe_raises_naming_task_and_step(self):
+        # the first draw at clock 32 is the probe of the refresh after step 31
+        with pytest.raises(ValueError, match=r"non-finite probe gradient for task 3 at step 32\b"):
+            run(self.cfg, FaultyOracle(self.suite(), 3, with_nan, start=32))
+
+    def test_infinite_gradient_raises(self):
+        with pytest.raises(ValueError, match="task 5"):
+            run(self.cfg, FaultyOracle(self.suite(), 5, lambda g: g * np.inf, start=40))
+
+    def test_wrong_dimension_raises_naming_task(self):
+        with pytest.raises(ValueError, match=r"gradient for task 2 at step 0 has dimension \(33,\)"):
+            run(self.cfg, FaultyOracle(self.suite(), 2, lambda g: np.append(g, 0.0)))
+
+    def test_refresh_rejects_bad_probe_naming_task(self):
+        state = init_state(small_cfg(K=2, d=2))
+        with pytest.raises(ValueError, match=r"probe gradient for task 1 has dimension \(3,\)"):
+            refresh(state, [np.zeros(2), np.zeros(3)], tau=0.5)
+        with pytest.raises(ValueError, match=r"probe gradient for task 0 at step 5 has dimension"):
+            refresh(state, [np.zeros(3), np.zeros(3)], tau=0.5, step=5)
+        with pytest.raises(ValueError, match=r"non-finite probe gradient for task 1$"):
+            refresh(state, {0: np.zeros(2), 1: np.array([0.0, np.inf])}, tau=0.5)
+        assert state.r == 0 and not state.stats.steps.any()
+
+    def test_refresh_accepts_probes_by_task_index(self):
+        by_list = init_state(small_cfg(K=2, d=2))
+        by_dict = init_state(small_cfg(K=2, d=2))
+        probes = [np.array([1.0, 2.0]), np.array([-3.0, 0.5])]
+        refresh(by_list, probes, tau=0.5)
+        refresh(by_dict, {1: probes[1], 0: probes[0]}, tau=0.5)
+        assert by_dict.stats.ema.tobytes() == by_list.stats.ema.tobytes()

@@ -41,6 +41,11 @@ class TestSketchConfig:
         with pytest.raises(ValueError):
             SketchConfig(**kw)
 
+    def test_single_row_fd_sketch_rejected(self):
+        with pytest.raises(ValueError, match="ell=1 must be >= 2"):
+            SketchConfig(mode="fd", ell=1)
+        assert SketchConfig(mode="fd", ell=2).ell == 2
+
 
 class TestJL:
     def test_identity_mode_exact(self):
