@@ -7,88 +7,103 @@ classes then rotate as the cyclic training schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .grad_stats import InterferenceMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConflictGraph:
-    n_vertices: int
-    edges: frozenset  # frozenset of (i, j) tuples with i < j
+    """Conflict graph as a read-only boolean K x K adjacency: symmetric, with
+    a False diagonal.  Degrees, edge tests and edge lists derive from it;
+    the edge lists are computed once per graph."""
+
+    adj: np.ndarray
     tau: float
 
     def __post_init__(self):
-        for (i, j) in self.edges:
-            if not (0 <= i < j < self.n_vertices):
-                raise ValueError(f"bad edge ({i}, {j}) for K={self.n_vertices}")
+        adj = np.array(self.adj, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency must be K x K, got shape {adj.shape}")
+        if adj.diagonal().any() or not np.array_equal(adj, adj.T):
+            raise ValueError("adjacency must be symmetric with a False diagonal")
+        adj.flags.writeable = False
+        object.__setattr__(self, "adj", adj)
+
+    @classmethod
+    def from_edges(cls, K: int, edges, tau: float) -> "ConflictGraph":
+        """Graph on K vertices from (i, j) pairs with 0 <= i < j < K."""
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        i, j = pairs[:, 0], pairs[:, 1]
+        bad = (i < 0) | (i >= j) | (j >= K)
+        if bad.any():
+            a, b = pairs[bad][0].tolist()
+            raise ValueError(f"bad edge ({a}, {b}) for K={K}")
+        adj = np.zeros((K, K), dtype=bool)
+        adj[i, j] = adj[j, i] = True
+        return cls(adj, tau)
 
     @property
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n_vertices
-        for (i, j) in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+    def n_vertices(self) -> int:
+        return self.adj.shape[0]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.adj.sum(axis=1)
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        a, b = (i, j) if i < j else (j, i)
-        return (a, b) in self.edges
+        return bool(self.adj[i, j])
 
-    def neighbors(self, v: int) -> set:
-        out = set()
-        for (i, j) in self.edges:
-            if i == v:
-                out.add(j)
-            elif j == v:
-                out.add(i)
-        return out
+    @cached_property
+    def sorted_edges(self) -> tuple:
+        """Every edge as an (i, j) pair of ints with i < j, in sorted order."""
+        i, j = np.nonzero(np.triu(self.adj, 1))
+        return tuple(zip(i.tolist(), j.tolist()))
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return frozenset(self.sorted_edges)
 
     def to_edge_list(self) -> str:
         """Plain text form: first line K, then one 'i j' line per edge."""
         lines = [str(self.n_vertices)]
-        lines += [f"{i} {j}" for (i, j) in sorted(self.edges)]
+        lines += [f"{i} {j}" for (i, j) in self.sorted_edges]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_edge_list(cls, text: str, tau: float = 1.0) -> "ConflictGraph":
         rows = [ln for ln in text.splitlines() if ln.strip()]
-        K = int(rows[0])
         edges = set()
         for ln in rows[1:]:
             i, j = (int(x) for x in ln.split())
-            a, b = (i, j) if i < j else (j, i)
-            edges.add((a, b))
-        return cls(n_vertices=K, edges=frozenset(edges), tau=tau)
+            edges.add((min(i, j), max(i, j)))
+        return cls.from_edges(int(rows[0]), edges, tau)
 
 
 def build_graph(matrix: InterferenceMatrix, tau: float) -> ConflictGraph:
     """Threshold the interference matrix: edge (i, j) iff rho[i, j] > tau.
 
-    Strict inequality — boundary equality is a non-edge.  Excluded tasks
-    never gain edges and end up as isolated vertices.
+    Strict inequality — boundary equality is a non-edge.  Only the upper
+    triangle of the included block is read, and it is mirrored.  Excluded
+    tasks never gain edges and end up as isolated vertices.
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau={tau} outside (0, 1]")
-    K = matrix.K
-    edges = set()
-    idx = np.flatnonzero(matrix.included)
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            i, j = int(idx[a]), int(idx[b])
-            if matrix.rho[i, j] > tau:
-                edges.add((i, j))
+    inc = np.flatnonzero(matrix.included)
+    block = np.ix_(inc, inc)
+    upper = np.triu(matrix.rho[block] > tau, 1)
+    adj = np.zeros((matrix.K, matrix.K), dtype=bool)
+    adj[block] = upper | upper.T
     matrix.tau_used = tau
-    return ConflictGraph(n_vertices=K, edges=frozenset(edges), tau=tau)
+    return ConflictGraph(adj, tau)
 
 
 def max_degree(graph: ConflictGraph) -> int:
     if graph.n_vertices == 0:
         return 0
-    return max(graph.degrees)
+    return int(graph.degrees.max())
 
 
 @dataclass(frozen=True)
@@ -112,24 +127,15 @@ def welsh_powell(graph: ConflictGraph) -> Coloring:
     colored neighbors.  Uses at most max_degree + 1 colors.
     """
     K = graph.n_vertices
-    deg = graph.degrees
-    order = sorted(range(K), key=lambda v: (-deg[v], v))
-    adj = [set() for _ in range(K)]
-    for (i, j) in graph.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    color = [0] * K
-    for v in order:
-        taken = {color[u] for u in adj[v] if color[u] > 0}
-        c = 1
-        while c in taken:
-            c += 1
-        color[v] = c
-    m = max(color) if K else 0
-    classes = tuple(
-        tuple(sorted(v for v in range(K) if color[v] == c)) for c in range(1, m + 1)
-    )
-    return Coloring(color_of=tuple(color), m=m, classes=classes)
+    adj = graph.adj
+    color = np.zeros(K, dtype=np.int64)
+    for v in np.argsort(-graph.degrees, kind="stable").tolist():
+        taken = np.zeros(K + 2, dtype=bool)
+        taken[color[adj[v]]] = True
+        color[v] = 1 + int(taken[1:].argmin())
+    m = int(color.max()) if K else 0
+    classes = tuple(tuple(np.flatnonzero(color == c).tolist()) for c in range(1, m + 1))
+    return Coloring(color_of=tuple(color.tolist()), m=m, classes=classes)
 
 
 @dataclass
@@ -178,6 +184,9 @@ def enforce_min_coverage(coloring: Coloring, graph: ConflictGraph, f_min: int) -
     sched = AugmentedSchedule(base_classes=coloring.classes, f_min=f_min)
     if f_min == 1 or sched.m == 0:
         return sched
+    adj = graph.adj
+    # blocked[s - 1, v]: some task in slot s conflicts with v
+    blocked = np.array([adj[list(cls)].any(axis=0) for cls in coloring.classes])
     failures = []
     for task in range(graph.n_vertices):
         count = 1  # own class
@@ -185,13 +194,10 @@ def enforce_min_coverage(coloring: Coloring, graph: ConflictGraph, f_min: int) -
         for slot in range(1, sched.m + 1):
             if count >= f_min:
                 break
-            if slot == own:
-                continue
-            occupants = sched.slot_tasks(slot)
-            if any(graph.has_edge(task, u) for u in occupants):
+            if slot == own or blocked[slot - 1, task]:
                 continue
             sched.extra_slots.setdefault(slot, []).append(task)
-            sched.extra_slots[slot].sort()
+            blocked[slot - 1] |= adj[task]
             count += 1
         if count < f_min:
             failures.append(task)
@@ -200,4 +206,6 @@ def enforce_min_coverage(coloring: Coloring, graph: ConflictGraph, f_min: int) -
 
 
 def is_proper(coloring: Coloring, graph: ConflictGraph) -> bool:
-    return all(coloring.color_of[i] != coloring.color_of[j] for (i, j) in graph.edges)
+    color = np.asarray(coloring.color_of)
+    i, j = np.nonzero(graph.adj)
+    return bool((color[i] != color[j]).all())

@@ -6,7 +6,6 @@ CSV artifact plus the config, so results are traceable to their inputs.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -17,7 +16,7 @@ from .combinators import CombinatorConfig
 from .config import EXPERIMENTS
 from .conflict_graph import ConflictGraph
 from .grad_stats import beta_for_effective_sample_size
-from .records import RunRecord, tasks_from_mask
+from .records import RunRecord, artifact_hash, tasks_from_mask
 from .scheduler import SchedulerConfig, run
 from .sim import (
     DriftingOracle,
@@ -56,18 +55,13 @@ def run_experiment(name: str, cfg: dict, out_dir: str) -> dict:
     return drivers[name](cfg, out_dir)
 
 
-def _hash_artifacts(csv_text: str, cfg: dict) -> str:
-    blob = csv_text + json.dumps(cfg, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _write_summary(out_dir: str, name: str, cfg: dict, results: dict, csv_text: str) -> dict:
     summary = {
         "schema": "summary v1",
         "experiment": name,
         "config": cfg,
         "results": results,
-        "content_hash": _hash_artifacts(csv_text, cfg),
+        "content_hash": artifact_hash(csv_text, cfg),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=str)

@@ -156,30 +156,55 @@ class InterferenceMatrix:
         return self.rho.shape[0]
 
 
+def cosine_rho(gram, norm_i, norm_j):
+    """rho = -clip(gram / (norm_i * norm_j), -1, 1), elementwise: the cosine
+    kernel for one pair, or for a block when the norms broadcast.  The clip
+    is a maximum then a minimum, which costs a pair half of ``np.clip``."""
+    return -np.minimum(np.maximum(gram / (norm_i * norm_j), -1.0), 1.0)
+
+
+def interference(
+    gram: np.ndarray, norms: np.ndarray, included: np.ndarray
+) -> InterferenceMatrix:
+    """The interference matrix of a Gram: rho_ij = cosine_rho(gram_ij, n_i, n_j).
+
+    ``gram`` (n, n) and ``norms`` (n,) belong to the rows that the (K,) bool
+    mask ``included`` selects, in ascending task order.  Entries outside the
+    included block are NaN, the diagonal is -1, and the block is mirrored
+    from its upper triangle, so rho is exactly symmetric.  Clipping keeps
+    every entry in [-1, 1], so a graph thresholded at tau = 1 has no edges.
+    A zero row (zero norm and zero Gram entries) gives NaN entries, which
+    never become edges.
+    """
+    K = len(included)
+    idx = np.flatnonzero(included)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block = cosine_rho(gram, norms[:, None], norms[None, :])
+    block = np.triu(block, 1)
+    block += block.T
+    np.fill_diagonal(block, -1.0)
+    rho = np.full((K, K), np.nan)
+    rho[np.ix_(idx, idx)] = block
+    return InterferenceMatrix(rho=rho, included=included)
+
+
+def row_interference(rows: np.ndarray, included: np.ndarray) -> InterferenceMatrix:
+    """The kernel on the Gram and the norms of the ``included`` rows."""
+    M = rows[included]
+    return interference(M @ M.T, np.linalg.norm(M, axis=1), included)
+
+
 def interference_matrix(stats: GradStats) -> InterferenceMatrix:
     """Negated-cosine matrix over the currently included tasks.
 
-    Raises DegenerateMatrixError when fewer than two tasks are included; the
-    scheduler treats that as "fall back to one all-task class".
+    Raises DegenerateMatrixError when fewer than two tasks are included.
     """
     included = ~stats.excluded
     if int(included.sum()) < 2:
         raise DegenerateMatrixError(
             f"only {int(included.sum())} task(s) above the norm floor; need >= 2"
         )
-    K = stats.K
-    rho = np.full((K, K), np.nan)
-    idx = np.flatnonzero(included)
-    M = stats.ema[idx]
-    norms = np.linalg.norm(M, axis=1)
-    cos = (M @ M.T) / np.outer(norms, norms)
-    sub = -cos
-    # mirror the upper triangle so rho is exactly symmetric bit-for-bit
-    sub = np.triu(sub)
-    sub = sub + sub.T - np.diag(np.diag(sub))
-    rho[np.ix_(idx, idx)] = sub
-    rho[idx, idx] = -1.0
-    return InterferenceMatrix(rho=rho, included=included)
+    return row_interference(stats.ema, included)
 
 
 def tau_eff(

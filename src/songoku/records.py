@@ -33,6 +33,13 @@ def tasks_from_mask(mask: int) -> tuple:
     return tuple(out)
 
 
+def artifact_hash(csv_text: str, config: dict) -> str:
+    """Content hash of an artifact: sha256 of its CSV text plus its config
+    as sorted JSON."""
+    blob = csv_text + json.dumps(config, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @dataclass(frozen=True)
 class StepRow:
     t: int
@@ -101,8 +108,7 @@ class RunRecord:
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
-        blob = self.to_csv() + json.dumps(self.config, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return artifact_hash(self.to_csv(), self.config)
 
     def to_summary(self) -> dict:
         return {

@@ -21,13 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .grad_stats import (
-    DegenerateMatrixError,
-    GradStats,
-    interference_matrix,
-    tau_eff,
-    update_ema,
-)
+from .grad_stats import GradStats, row_interference, tau_eff, update_ema
 from .conflict_graph import (
     AugmentedSchedule,
     Coloring,
@@ -117,14 +111,10 @@ def anneal_tau(t: int, cfg: SchedulerConfig) -> float:
     return 1.0 - (1.0 - cfg.tau_star) * frac
 
 
-def _fallback_schedule(cfg: SchedulerConfig, tau: float):
-    """Single class of all tasks — warm-up / degenerate-statistics behavior."""
-    graph = ConflictGraph(n_vertices=cfg.K, edges=frozenset(), tau=tau)
-    coloring = Coloring(
-        color_of=(1,) * cfg.K, m=1, classes=(tuple(range(cfg.K)),)
-    )
-    schedule = enforce_min_coverage(coloring, graph, cfg.f_min)
-    return graph, coloring, schedule
+def dense_graph(stats: GradStats, tau: float) -> ConflictGraph:
+    """The exact refresh graph: the cosine kernel on the included EMA rows,
+    thresholded at tau.  With fewer than two included tasks it has no edges."""
+    return build_graph(row_interference(stats.ema, ~stats.excluded), tau)
 
 
 @dataclass
@@ -149,9 +139,11 @@ def init_state(
     theta0: np.ndarray | None = None,
     combinators: CombinatorConfig | None = None,
 ) -> SchedulerState:
-    """Install the initial all-task window (no probes; statistics are empty)."""
+    """Install the initial all-task window: the edgeless graph's one class
+    (no probes; statistics are empty)."""
     tau0 = anneal_tau(0, cfg)
-    graph, coloring, schedule = _fallback_schedule(cfg, tau0)
+    graph = ConflictGraph(np.zeros((cfg.K, cfg.K), dtype=bool), tau0)
+    coloring = welsh_powell(graph)
     theta = (
         np.zeros(cfg.d) if theta0 is None else np.array(theta0, dtype=np.float64)
     )
@@ -170,7 +162,7 @@ def init_state(
         rng=np.random.default_rng(cfg.seed),
         graph=graph,
         coloring=coloring,
-        schedule=schedule,
+        schedule=enforce_min_coverage(coloring, graph, cfg.f_min),
         tau=tau0,
         scale_state=scale_state,
     )
@@ -225,11 +217,12 @@ def refresh(
 ) -> SchedulerState:
     """Fold probes into the statistics, rebuild graph/coloring, open a window.
 
-    ``probe_gradients`` must cover every task (index-addressable).  A probe
-    of the wrong dimension or with a non-finite entry raises ``ValueError``
-    naming the task, and ``step`` when given.  When the state is frozen
-    (static-grouping ablation) the statistics still advance but the existing
-    schedule is retained.
+    ``graph_builder(stats, tau, window)`` makes the graph; the default is
+    ``dense_graph``.  ``probe_gradients`` must cover every task
+    (index-addressable).  A probe of the wrong dimension or with a non-finite
+    entry raises ``ValueError`` naming the task, and ``step`` when given.
+    When the state is frozen (static-grouping ablation) the statistics still
+    advance but the existing schedule is retained.
     """
     K = state.cfg.K
     probes = _gradient_block(
@@ -237,20 +230,16 @@ def refresh(
     )
     update_ema(state.stats, np.arange(K), probes)
     if not state.frozen:
-        try:
-            if graph_builder is not None:
-                graph = graph_builder(state.stats, tau, state.r + 1)
-            else:
-                graph = build_graph(interference_matrix(state.stats), tau)
-            coloring = welsh_powell(graph)
-            if state.cfg.permute_classes and coloring.m > 1:
-                coloring = _permuted(coloring, state.rng)
-            schedule = enforce_min_coverage(coloring, graph, state.cfg.f_min)
-        except DegenerateMatrixError:
-            graph, coloring, schedule = _fallback_schedule(state.cfg, tau)
+        if graph_builder is None:
+            graph = dense_graph(state.stats, tau)
+        else:
+            graph = graph_builder(state.stats, tau, state.r + 1)
+        coloring = welsh_powell(graph)
+        if state.cfg.permute_classes and coloring.m > 1:
+            coloring = _permuted(coloring, state.rng)
         state.graph = graph
         state.coloring = coloring
-        state.schedule = schedule
+        state.schedule = enforce_min_coverage(coloring, graph, state.cfg.f_min)
         if state.cfg.freeze_after_first_coloring and tau < 1.0:
             state.frozen = True
     state.r += 1
@@ -300,7 +289,7 @@ def _window_record(state: SchedulerState, t_start: int) -> WindowRecord:
         t_start=t_start,
         tau=float(state.tau),
         m=state.schedule.m,
-        edges=tuple(sorted(state.graph.edges)),
+        edges=state.graph.sorted_edges,
         color_of=state.coloring.color_of,
         classes=state.coloring.classes,
         extra_slots=tuple(

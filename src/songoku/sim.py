@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conflict_graph import ConflictGraph
-from .grad_stats import is_tau_compatible, tau_eff
+from .conflict_graph import ConflictGraph, build_graph
+from .grad_stats import is_tau_compatible, row_interference, tau_eff
 
 # Calibrated once on the reference recovery configuration (K=8, d=8, two
 # groups, tau=0.5, gamma=0.3, sigma=1, m0=1): the smallest half-integer
@@ -198,19 +198,14 @@ def audit_margins(suite: PlantedTaskSuite) -> dict:
     return {"worst_cross_cos": worst_cross, "worst_within_cos": worst_within}
 
 
+def _mean_graph(mu: np.ndarray, tau: float) -> ConflictGraph:
+    return build_graph(row_interference(mu, np.ones(len(mu), dtype=bool)), tau)
+
+
 def true_graph(suite: PlantedTaskSuite, tau: float | None = None) -> ConflictGraph:
-    """Population conflict graph computed from the means (not the labels)."""
-    if tau is None:
-        tau = suite.tau
-    norms = np.linalg.norm(suite.mu, axis=1)
-    cos = (suite.mu @ suite.mu.T) / np.outer(norms, norms)
-    edges = frozenset(
-        (i, j)
-        for i in range(suite.K)
-        for j in range(i + 1, suite.K)
-        if -cos[i, j] > tau
-    )
-    return ConflictGraph(n_vertices=suite.K, edges=edges, tau=tau)
+    """Population conflict graph computed from the means (not the labels),
+    at ``tau`` or else the suite's own threshold."""
+    return _mean_graph(suite.mu, suite.tau if tau is None else tau)
 
 
 def sample_gradient(
@@ -265,23 +260,6 @@ def _edges_match(ema: np.ndarray, truth: np.ndarray, tau: float) -> np.ndarray:
     return np.all((edges_hat == truth[None, :, :]) | ~off[None, :, :], axis=(1, 2))
 
 
-def recovery_trial(
-    suite: PlantedTaskSuite, beta: float, R: int, tau: float, seed: int = 0
-) -> bool:
-    """One probe phase: does the estimated graph equal the population graph?"""
-    rng = np.random.default_rng(seed)
-    ema = _ema_probes(suite, beta, R, rng, trials=1)
-    truth = _adjacency(true_graph(suite, tau))
-    return bool(_edges_match(ema, truth, tau)[0])
-
-
-def _adjacency(graph: ConflictGraph) -> np.ndarray:
-    A = np.zeros((graph.n_vertices, graph.n_vertices), dtype=bool)
-    for (i, j) in graph.edges:
-        A[i, j] = A[j, i] = True
-    return A
-
-
 def recovery_rate(
     suite: PlantedTaskSuite,
     beta: float,
@@ -293,7 +271,7 @@ def recovery_rate(
     """Monte Carlo exact-recovery rate, vectorized across trials."""
     rng = np.random.default_rng(seed)
     ema = _ema_probes(suite, beta, R, rng, trials)
-    truth = _adjacency(true_graph(suite, tau))
+    truth = true_graph(suite, tau).adj
     hits = _edges_match(ema, truth, tau)
     return ExperimentResult(
         trials=trials,
@@ -638,16 +616,7 @@ class DriftingSuite:
         return mu
 
     def true_graph_at(self, t: int, tau: float | None = None) -> ConflictGraph:
-        if tau is None:
-            tau = self.base.tau
-        mu = self.mu_at(t)
-        norms = np.linalg.norm(mu, axis=1)
-        cos = (mu @ mu.T) / np.outer(norms, norms)
-        K = self.base.K
-        edges = frozenset(
-            (i, j) for i in range(K) for j in range(i + 1, K) if -cos[i, j] > tau
-        )
-        return ConflictGraph(n_vertices=K, edges=edges, tau=tau)
+        return _mean_graph(self.mu_at(t), self.base.tau if tau is None else tau)
 
 
 # ---------------------------------------------------------------------------

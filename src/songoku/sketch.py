@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conflict_graph import ConflictGraph, build_graph
-from .grad_stats import GradStats, InterferenceMatrix
+from .grad_stats import GradStats, cosine_rho, interference, row_interference
+from .scheduler import dense_graph
 
 SKETCH_MODES = ("dense", "jl", "fd", "edge_sample", "incremental")
 
@@ -157,12 +158,6 @@ class FrequentDirections:
         return self.sketch.T @ self.sketch
 
 
-def fd_update(sketch: FrequentDirections, new_row: np.ndarray) -> FrequentDirections:
-    """One streaming insert (mutates and returns the sketch)."""
-    sketch.insert(new_row)
-    return sketch
-
-
 def fd_task_gram(
     M: np.ndarray, ell: int, counter: FlopCounter | None = None
 ) -> tuple:
@@ -293,7 +288,7 @@ def edge_sample_graph(
             ev(i, j)
         edges = frozenset(p for p, v in evals.items() if v > tau)
         return SampledGraph(
-            graph=ConflictGraph(K, edges, tau),
+            graph=ConflictGraph.from_edges(K, edges, tau),
             evaluated=frozenset(evals),
             uncertified=(),
         )
@@ -361,7 +356,7 @@ def edge_sample_graph(
         if val is not None and val > tau:
             edges.add((i, j))
     return SampledGraph(
-        graph=ConflictGraph(K, frozenset(edges), tau),
+        graph=ConflictGraph.from_edges(K, edges, tau),
         evaluated=frozenset(evals),
         uncertified=tuple(uncertified),
     )
@@ -475,26 +470,9 @@ def incremental_gram(
 # Graph builders pluggable into the scheduler's refresh
 
 
-def _interference_from(
-    rows: np.ndarray, included: np.ndarray, norm_floor: float
-) -> InterferenceMatrix:
-    K = rows.shape[0]
-    norms = np.linalg.norm(rows, axis=1)
-    ok = included & (norms >= norm_floor)
-    rho = np.full((K, K), np.nan)
-    idx = np.flatnonzero(ok)
-    if len(idx) >= 2:
-        sub = rows[idx]
-        sub_norms = norms[idx]
-        cos = (sub @ sub.T) / np.outer(sub_norms, sub_norms)
-        r = -np.clip(cos, -1.0, 1.0)
-        r = np.triu(r)
-        r = r + r.T - np.diag(np.diag(r))
-        block = np.full((K, K), np.nan)
-        block[np.ix_(idx, idx)] = r
-        rho = block
-    rho[np.arange(K), np.arange(K)] = np.where(ok, -1.0, np.nan)
-    return InterferenceMatrix(rho=rho, included=ok)
+def _included(stats: GradStats, norms: np.ndarray) -> np.ndarray:
+    """Tasks not excluded whose row norm ``norms`` reaches the floor."""
+    return ~stats.excluded & (norms >= stats.norm_floor)
 
 
 def make_graph_builder(
@@ -514,8 +492,7 @@ def make_graph_builder(
             if counter is not None:
                 k_inc = int(stats.included_count())
                 counter.add("gram_full", 2 * k_inc * k_inc * stats.d)
-            mat = _interference_from(stats.ema, ~stats.excluded, stats.norm_floor)
-            return build_graph(mat, tau)
+            return dense_graph(stats, tau)
 
         return dense_builder
 
@@ -526,11 +503,8 @@ def make_graph_builder(
             sketch = jl_project(stats.ema, r, seed + window, counter=counter)
             if counter is not None:
                 counter.add("jl_gram", 2 * stats.K * stats.K * r)
-            ok = ~stats.excluded & (
-                np.linalg.norm(stats.ema, axis=1) >= stats.norm_floor
-            )
-            mat = _interference_from(sketch, ok, 1e-300)
-            return build_graph(mat, tau)
+            ok = _included(stats, np.linalg.norm(stats.ema, axis=1))
+            return build_graph(row_interference(sketch, ok), tau)
 
         return jl_builder
 
@@ -540,14 +514,10 @@ def make_graph_builder(
             gram_hat, norms, _ = fd_task_gram(stats.ema, scfg.ell, counter=counter)
             if counter is not None:
                 counter.add("fd_gram", 2 * stats.K * stats.K * scfg.ell)
-            cos_hat, _ = fd_cosine_bounds(gram_hat, norms)
-            ok = ~stats.excluded & (norms >= stats.norm_floor)
-            K = stats.K
-            rho = np.full((K, K), np.nan)
-            idx = np.flatnonzero(ok)
-            rho[np.ix_(idx, idx)] = -cos_hat[np.ix_(idx, idx)]
-            rho[np.arange(K), np.arange(K)] = np.where(ok, -1.0, np.nan)
-            return build_graph(InterferenceMatrix(rho=rho, included=ok), tau)
+            ok = _included(stats, norms)
+            block = np.ix_(ok, ok)
+            mat = interference(gram_hat[block], np.sqrt(np.diag(gram_hat))[ok], ok)
+            return build_graph(mat, tau)
 
         return fd_builder
 
@@ -555,18 +525,16 @@ def make_graph_builder(
 
         def es_builder(stats: GradStats, tau: float, window: int) -> ConflictGraph:
             norms = np.linalg.norm(stats.ema, axis=1)
-            ok = ~stats.excluded & (norms >= stats.norm_floor)
-            idx = np.flatnonzero(ok)
+            idx = np.flatnonzero(_included(stats, norms))
             if len(idx) < 2:
-                return ConflictGraph(stats.K, frozenset(), tau)
+                return ConflictGraph.from_edges(stats.K, (), tau)
             sub = stats.ema[idx]
             sub_norms = norms[idx]
 
             def rho_pair(a: int, b: int) -> float:
                 if counter is not None:
                     counter.add("edge_sample", 2 * stats.d)
-                cos = float(sub[a] @ sub[b]) / float(sub_norms[a] * sub_norms[b])
-                return -max(-1.0, min(1.0, cos))
+                return float(cosine_rho(float(sub[a] @ sub[b]), sub_norms[a], sub_norms[b]))
 
             sampled = edge_sample_graph(
                 rho_pair,
@@ -576,10 +544,9 @@ def make_graph_builder(
                 budget=scfg.pair_budget,
                 seed=seed + window,
             )
-            edges = frozenset(
-                (int(idx[a]), int(idx[b])) for (a, b) in sampled.graph.edges
-            )
-            return ConflictGraph(stats.K, edges, tau)
+            adj = np.zeros((stats.K, stats.K), dtype=bool)
+            adj[np.ix_(idx, idx)] = sampled.graph.adj
+            return ConflictGraph(adj, tau)
 
         return es_builder
 
@@ -598,17 +565,9 @@ def make_graph_builder(
                     cache, stats.ema, changed, matrix_version=window, counter=counter
                 )
             cache = state["cache"]
-            norms = cache.row_norms
-            ok = ~stats.excluded & (norms >= stats.norm_floor)
-            K = stats.K
-            rho = np.full((K, K), np.nan)
-            idx = np.flatnonzero(ok)
-            if len(idx) >= 2:
-                sub = cache.gram[np.ix_(idx, idx)]
-                denom = np.outer(norms[idx], norms[idx])
-                rho[np.ix_(idx, idx)] = -np.clip(sub / denom, -1.0, 1.0)
-            rho[np.arange(K), np.arange(K)] = np.where(ok, -1.0, np.nan)
-            return build_graph(InterferenceMatrix(rho=rho, included=ok), tau)
+            ok = _included(stats, cache.row_norms)
+            mat = interference(cache.gram[np.ix_(ok, ok)], cache.row_norms[ok], ok)
+            return build_graph(mat, tau)
 
         return inc_builder
 

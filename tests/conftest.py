@@ -32,7 +32,7 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> ConflictGraph:
         for j in range(i + 1, n)
         if rng.random() < p
     )
-    return ConflictGraph(n_vertices=n, edges=edges, tau=0.5)
+    return ConflictGraph.from_edges(n, edges=edges, tau=0.5)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -50,7 +50,7 @@ class TestBuildGraph:
         assert mat.tau_used == 0.7
 
     def test_edge_list_roundtrip(self):
-        g = ConflictGraph(n_vertices=4, edges=frozenset({(0, 2), (1, 3), (0, 1)}), tau=0.5)
+        g = ConflictGraph.from_edges(4, edges=frozenset({(0, 2), (1, 3), (0, 1)}), tau=0.5)
         text = g.to_edge_list()
         assert text.splitlines()[0] == "4"
         g2 = ConflictGraph.from_edge_list(text, tau=0.5)
@@ -58,41 +58,41 @@ class TestBuildGraph:
 
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):
-            ConflictGraph(n_vertices=3, edges=frozenset({(1, 1)}), tau=0.5)
+            ConflictGraph.from_edges(3, edges=frozenset({(1, 1)}), tau=0.5)
         with pytest.raises(ValueError):
-            ConflictGraph(n_vertices=3, edges=frozenset({(0, 3)}), tau=0.5)
+            ConflictGraph.from_edges(3, edges=frozenset({(0, 3)}), tau=0.5)
 
 
 class TestWelshPowell:
     def test_path_graph(self):
         # path 0-1-2: center has max degree, gets color 1, endpoints share color 2
-        g = ConflictGraph(n_vertices=3, edges=frozenset({(0, 1), (1, 2)}), tau=0.5)
+        g = ConflictGraph.from_edges(3, edges=frozenset({(0, 1), (1, 2)}), tau=0.5)
         col = welsh_powell(g)
         assert col.m == 2
         assert col.color_of == (2, 1, 2)
         assert col.classes == ((1,), (0, 2))
 
     def test_triangle_needs_three(self):
-        g = ConflictGraph(n_vertices=3, edges=frozenset({(0, 1), (0, 2), (1, 2)}), tau=0.5)
+        g = ConflictGraph.from_edges(3, edges=frozenset({(0, 1), (0, 2), (1, 2)}), tau=0.5)
         col = welsh_powell(g)
         assert col.m == 3
         assert is_proper(col, g)
 
     def test_empty_graph_single_class(self):
-        g = ConflictGraph(n_vertices=5, edges=frozenset(), tau=0.5)
+        g = ConflictGraph.from_edges(5, edges=frozenset(), tau=0.5)
         col = welsh_powell(g)
         assert col.m == 1
         assert col.classes == ((0, 1, 2, 3, 4),)
 
     def test_star_center_first(self):
-        g = ConflictGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}), 0.5)
+        g = ConflictGraph.from_edges(4, frozenset({(0, 1), (0, 2), (0, 3)}), 0.5)
         col = welsh_powell(g)
         assert col.m == 2
         assert col.classes == ((0,), (1, 2, 3))
 
     def test_degree_ties_break_by_index(self):
         # two disjoint edges: all degree 1, so order is 0,1,2,3
-        g = ConflictGraph(4, frozenset({(0, 1), (2, 3)}), 0.5)
+        g = ConflictGraph.from_edges(4, frozenset({(0, 1), (2, 3)}), 0.5)
         col = welsh_powell(g)
         assert col.color_of == (1, 2, 1, 2)
 
@@ -107,13 +107,13 @@ class TestWelshPowell:
         assert chromatic_number(g) <= col.m
 
     def test_zero_vertices(self):
-        col = welsh_powell(ConflictGraph(0, frozenset(), 0.5))
+        col = welsh_powell(ConflictGraph.from_edges(0, frozenset(), 0.5))
         assert col.m == 0 and col.classes == ()
 
 
 class TestCoverage:
     def path(self):
-        return ConflictGraph(3, frozenset({(0, 1), (1, 2)}), 0.5)
+        return ConflictGraph.from_edges(3, frozenset({(0, 1), (1, 2)}), 0.5)
 
     def test_f_min_one_is_identity(self):
         col = welsh_powell(self.path())
@@ -130,7 +130,7 @@ class TestCoverage:
         assert sched.extra_slots == {}
 
     def test_star_leaves_fill_but_center_cannot(self):
-        g = ConflictGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}), 0.5)
+        g = ConflictGraph.from_edges(4, frozenset({(0, 1), (0, 2), (0, 3)}), 0.5)
         sched = enforce_min_coverage(welsh_powell(g), g, 2)
         # center 0 conflicts with every leaf; leaves cannot join slot 1 either
         # (center occupies it), so nobody reaches two appearances
@@ -138,13 +138,13 @@ class TestCoverage:
 
     def test_two_colors_block_every_edged_vertex(self):
         # with m = 2, an edged vertex's neighbor always owns the other slot
-        g = ConflictGraph(4, frozenset({(0, 1), (2, 3)}), 0.5)
+        g = ConflictGraph.from_edges(4, frozenset({(0, 1), (2, 3)}), 0.5)
         sched = enforce_min_coverage(welsh_powell(g), g, 2)
         assert sched.coverage_failures == (0, 1, 2, 3)
         assert sched.extra_slots == {}
 
     def test_single_edge_partial_fill(self):
-        g = ConflictGraph(4, frozenset({(0, 1)}), 0.5)
+        g = ConflictGraph.from_edges(4, frozenset({(0, 1)}), 0.5)
         sched = enforce_min_coverage(welsh_powell(g), g, 2)
         # free vertices 2 and 3 join slot 2; the edge endpoints block each other
         assert sched.extra_slots == {2: [2, 3]}
@@ -155,14 +155,14 @@ class TestCoverage:
             assert not any(g.has_edge(a, b) for a in tasks for b in tasks if a < b)
 
     def test_triangle_with_free_rider_f_min_three(self):
-        g = ConflictGraph(4, frozenset({(0, 1), (0, 2), (1, 2)}), 0.5)
+        g = ConflictGraph.from_edges(4, frozenset({(0, 1), (0, 2), (1, 2)}), 0.5)
         sched = enforce_min_coverage(welsh_powell(g), g, 3)
         # vertex 3 rides along every slot; the triangle is stuck at one each
         assert sched.appearances(3) == 3
         assert sched.coverage_failures == (0, 1, 2)
 
     def test_empty_graph_free_for_all(self):
-        g = ConflictGraph(3, frozenset(), 0.5)
+        g = ConflictGraph.from_edges(3, frozenset(), 0.5)
         sched = enforce_min_coverage(welsh_powell(g), g, 1)
         assert sched.m == 1
         assert sched.active_for_offset(0) == [0, 1, 2]

@@ -64,7 +64,7 @@ class TestPartitionHelpers:
         assert partition_instability([w1, w2]) == 0.0
 
     def test_recovery_fraction_exact_edge_match(self):
-        truth = ConflictGraph(n_vertices=4, edges=frozenset({(0, 1)}), tau=0.5)
+        truth = ConflictGraph.from_edges(4, edges=frozenset({(0, 1)}), tau=0.5)
         w = lambda edges: SimpleNamespace(edges=edges)
         windows = [w(((0, 1),)), w(((0, 1), (2, 3))), w(())]
         assert window_recovery_fraction(windows, truth) == pytest.approx(1 / 3)
@@ -81,8 +81,8 @@ class TestEdgeViolationCounter:
         return SimpleNamespace(steps=steps)
 
     def test_counts_against_the_current_graph(self):
-        early = ConflictGraph(3, frozenset({(0, 1)}), tau=0.5)
-        late = ConflictGraph(3, frozenset({(1, 2)}), tau=0.5)
+        early = ConflictGraph.from_edges(3, frozenset({(0, 1)}), tau=0.5)
+        late = ConflictGraph.from_edges(3, frozenset({(1, 2)}), tau=0.5)
         graph_at = lambda t: early if t < 3 else late
         record = self.make_record(
             [
@@ -98,7 +98,7 @@ class TestEdgeViolationCounter:
         assert count_true_edge_violations(record, graph_at, from_t=5) == 0
 
     def test_singleton_sets_never_violate(self):
-        full = ConflictGraph(2, frozenset({(0, 1)}), tau=0.5)
+        full = ConflictGraph.from_edges(2, frozenset({(0, 1)}), tau=0.5)
         record = self.make_record([active_mask([0]), active_mask([1])])
         assert count_true_edge_violations(record, lambda t: full) == 0
 
@@ -145,6 +145,14 @@ class TestArtifactContract:
         assert on_disk["schema"] == "summary v1"
         assert on_disk["experiment"] == "sched_vs_agg"
         assert on_disk["content_hash"] == summary["content_hash"]
+        with open(tmp_path / "run.csv") as fh:
+            csv_text = fh.read()
+        blob = csv_text + json.dumps(cfg, sort_keys=True, default=str)
+        assert summary["content_hash"] == hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_staleness_audit_hash_is_sha256_of_csv_and_config(self, tmp_path):
+        cfg = cfg_with(K=4, d=8, steps=64, R=16, sigma=0.5)
+        summary = run_experiment("staleness_audit", cfg, str(tmp_path))
         with open(tmp_path / "run.csv") as fh:
             csv_text = fh.read()
         blob = csv_text + json.dumps(cfg, sort_keys=True, default=str)

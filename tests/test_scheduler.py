@@ -6,7 +6,14 @@ import pytest
 from songoku import scheduler
 from songoku.combinators import CombinatorConfig, apply_combinators
 from songoku.grad_stats import tau_eff, update_ema
-from songoku.records import RunRecord, StepRow, active_mask, parse_csv, tasks_from_mask
+from songoku.records import (
+    RunRecord,
+    StepRow,
+    WindowRecord,
+    active_mask,
+    parse_csv,
+    tasks_from_mask,
+)
 from songoku.scheduler import (
     SchedulerConfig,
     active_set,
@@ -245,6 +252,64 @@ class TestRun:
         rows = parse_csv(record.to_csv())
         assert len(rows) == 24
         assert rows[0].t == 0 and rows[-1].refresh
+
+
+class FewTasksOracle:
+    """Only the first ``n`` tasks have a nonzero gradient, so at most ``n``
+    tasks are ever above the norm floor."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def gradient(self, task, theta, rng):
+        g = np.zeros(theta.shape)
+        g[0] = float(task < self.n)
+        return g
+
+    def loss(self, theta):
+        return float("nan")
+
+
+class TestDegenerateRefresh:
+    @pytest.mark.parametrize("f_min", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_included_tasks_give_the_all_task_class(self, n, f_min):
+        # the window such a refresh has always recorded: no edges, one class
+        # of all tasks, and every task flagged when f_min >= 2
+        K = 5
+        record = run(small_cfg(K=K, f_min=f_min, T=48, R=8), FewTasksOracle(n))
+        assert len(record.windows) == 7
+        for r, w in enumerate(record.windows):
+            assert w == WindowRecord(
+                r=r,
+                t_start=8 * r,
+                tau=w.tau,
+                m=1,
+                edges=(),
+                color_of=(1,) * K,
+                classes=(tuple(range(K)),),
+                extra_slots=(),
+                coverage_failures=tuple(range(K)) if f_min >= 2 else (),
+                frozen=False,
+            )
+
+    def test_rounded_antipodal_pair_is_no_edge_at_tau_one(self):
+        # v = -u: the cosine of the EMA rows, rounded, can fall below -1.
+        # Unclipped, rho = -cos would exceed 1 and be an edge at tau = 1.
+        for seed in range(200):
+            u = np.random.default_rng(seed).standard_normal(7)
+            state = init_state(small_cfg(K=2, d=7))
+            refresh(state, [u, -u], tau=1.0)
+            M = state.stats.ema
+            norms = np.linalg.norm(M, axis=1)
+            cos = (M @ M.T)[0, 1] / (norms[0] * norms[1])
+            if cos < -1.0:
+                break
+        else:
+            pytest.fail("no seed gives a rounded cosine below -1")
+        assert -cos > 1.0
+        assert state.graph.edges == frozenset()
+        assert state.schedule.m == 1
 
 
 def reference_run(cfg, oracle, combinators=None, graph_builder=None):

@@ -17,7 +17,6 @@ from songoku.sketch import (
     edge_sample_graph,
     fd_cosine_bounds,
     fd_task_gram,
-    fd_update,
     incremental_gram,
     jl_project,
     make_graph_builder,
@@ -97,7 +96,7 @@ class TestFrequentDirections:
         cols = [u * c for c in rng.standard_normal(40)]
         fd = FrequentDirections(4, 5)
         for col in cols:
-            fd_update(fd, col)
+            fd.insert(col)
         A = np.stack(cols)
         np.testing.assert_allclose(fd.gram(), A.T @ A, atol=1e-9)
         assert fd.shrink_total <= 1e-20  # zero up to SVD rounding
