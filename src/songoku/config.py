@@ -10,6 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .combinators import MODES as COMBINATOR_MODES
+from .scheduler import ETA_RULES
+from .sketch import SKETCH_MODES
+
 EXPERIMENTS = (
     "recovery_curve",
     "sched_vs_agg",
@@ -114,7 +118,7 @@ _FIELDS = [
     Field("T_warm", "int", 0, low=0),
     Field("f_min", "int", 1, low=1),
     Field("eta", "float", 0.1, low=0.0, low_open=True),
-    Field("eta_rule", "str", "fixed", choices=("fixed", "const_over_sqrt_T")),
+    Field("eta_rule", "str", "fixed", choices=ETA_RULES),
     Field("anneal_a", "float", 9.0, low=0.0, low_open=True),
     Field("anneal_horizon", "opt_int", None, low=1),
     Field("sigma", "float", 1.0, low=0.0),
@@ -124,12 +128,10 @@ _FIELDS = [
     Field("trials", "int", 500, low=1),
     Field("delta", "float", 0.1, low=0.0, high=1.0, low_open=True, high_open=True),
     Field("permute_classes", "bool", False),
-    Field("combinator_mode", "str", "none",
-          choices=("none", "project", "adaptive_scale", "project_and_scale")),
+    Field("combinator_mode", "str", "none", choices=COMBINATOR_MODES),
     Field("scale_ema_beta", "float", 0.9, low=0.0, high=1.0, high_open=True),
     Field("scale_floor", "float", 1e-6, low=0.0, low_open=True),
-    Field("sketch_mode", "str", "dense",
-          choices=("dense", "jl", "fd", "edge_sample", "incremental")),
+    Field("sketch_mode", "str", "dense", choices=SKETCH_MODES),
     Field("sketch_r", "int", 32, low=1),
     Field("sketch_ell", "int", 8, low=2),
     Field("sketch_epsilon", "float", 0.1, low=0.0, low_open=True),

@@ -96,7 +96,6 @@ def build_graph(matrix: InterferenceMatrix, tau: float) -> ConflictGraph:
     upper = np.triu(matrix.rho[block] > tau, 1)
     adj = np.zeros((matrix.K, matrix.K), dtype=bool)
     adj[block] = upper | upper.T
-    matrix.tau_used = tau
     return ConflictGraph(adj, tau)
 
 
@@ -113,10 +112,6 @@ class Coloring:
     color_of: tuple        # color_of[v] in 1..m
     m: int
     classes: tuple         # classes[c-1] = sorted tuple of vertices with color c
-
-    def partition(self) -> frozenset:
-        """Label-free view for comparing groupings across windows."""
-        return frozenset(frozenset(cls) for cls in self.classes)
 
 
 def welsh_powell(graph: ConflictGraph) -> Coloring:

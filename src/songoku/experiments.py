@@ -16,7 +16,7 @@ from .combinators import CombinatorConfig
 from .config import EXPERIMENTS
 from .conflict_graph import ConflictGraph
 from .grad_stats import beta_for_effective_sample_size
-from .records import RunRecord, artifact_hash, tasks_from_mask
+from .records import RunRecord, activity, artifact_hash
 from .scheduler import SchedulerConfig, run
 from .sim import (
     DriftingOracle,
@@ -233,19 +233,10 @@ def count_true_edge_violations(
     record: RunRecord, graph_at, from_t: int = 0
 ) -> int:
     """Steps whose active set contains an edge of the *current* true graph."""
-    violations = 0
-    for row in record.steps:
-        if row.t < from_t:
-            continue
-        graph = graph_at(row.t)
-        tasks = tasks_from_mask(row.active_mask)
-        if any(
-            graph.has_edge(a, b)
-            for i, a in enumerate(tasks)
-            for b in tasks[i + 1 :]
-        ):
-            violations += 1
-    return violations
+    steps = [row for row in record.steps if row.t >= from_t]
+    graphs = [graph_at(row.t) for row in steps]
+    act = activity(steps, graphs[0].n_vertices if graphs else 0)
+    return sum(bool(g.adj[a][:, a].any()) for g, a in zip(graphs, act))
 
 
 def _ablation_static(cfg: dict, out_dir: str) -> dict:
@@ -359,64 +350,41 @@ def audit_staleness(record: RunRecord) -> dict:
     consecutive activations inside one window must be <= m - 1 skipped steps;
     m - 1 is itself bounded by the window graph's max degree.  Cross-window
     gaps are reported but not bounded (regrouping may reshuffle slots).
+    Rows list each window's active tasks in order of first activation.
     """
+    act = activity(record.steps, record.config["K"])
+    ranges = window_step_ranges(record)
     rows = []
-    worst = 0
     ok = True
-    last_seen_global = {}
-    worst_cross = 0
-    for w, t_start, t_end in window_step_ranges(record):
-        degrees = [0] * len(w.color_of)
-        for (i, j) in w.edges:
-            degrees[i] += 1
-            degrees[j] += 1
-        delta = max(degrees) if degrees else 0
-        seen = {}
-        for row in record.steps[t_start:t_end]:
-            for task in tasks_from_mask(row.active_mask):
-                if task in seen:
-                    gap = row.t - seen[task] - 1
-                    if gap > worst:
-                        worst = gap
-                    if gap > w.m - 1:
-                        ok = False
-                if task in last_seen_global:
-                    worst_cross = max(worst_cross, row.t - last_seen_global[task] - 1)
-                seen[task] = row.t
-                last_seen_global[task] = row.t
-        for task, last in seen.items():
-            rows.append(
-                {
-                    "r": w.r,
-                    "task": task,
-                    "max_gap": max(
-                        (
-                            b.t - a.t - 1
-                            for a, b in _activation_pairs(record.steps[t_start:t_end], task)
-                        ),
-                        default=0,
-                    ),
-                    "bound": w.m - 1,
-                    "delta": delta,
-                }
-            )
-        if w.m - 1 > delta and w.edges:
+    for w, t_start, t_end in ranges:
+        order, gaps = _activations(act[t_start:t_end])
+        ends = np.asarray(w.edges, dtype=np.intp).reshape(-1)
+        delta = int(np.bincount(ends, minlength=len(w.color_of)).max(initial=0))
+        rows += [
+            {"r": w.r, "task": int(k), "max_gap": max(int(gaps[k]), 0),
+             "bound": w.m - 1, "delta": delta}
+            for k in order
+        ]
+        if (gaps > w.m - 1).any() or (w.m - 1 > delta and w.edges):
             ok = False
+    _, cross = _activations(act[ranges[0][1] if ranges else len(act):])
     return {
         "rows": rows,
-        "max_gap": worst,
-        "max_cross_window_gap": worst_cross,
+        "max_gap": max((row["max_gap"] for row in rows), default=0),
+        "max_cross_window_gap": int(cross.max(initial=0)),
         "within_window_ok": ok,
     }
 
 
-def _activation_pairs(steps, task: int):
-    prev = None
-    for row in steps:
-        if task in tasks_from_mask(row.active_mask):
-            if prev is not None:
-                yield prev, row
-            prev = row
+def _activations(act: np.ndarray) -> tuple:
+    """For a (steps, K) activity block: the tasks active in it, by first
+    activation with ties by ascending task, and per task the most steps
+    skipped between two consecutive activations (-1 if active at most once)."""
+    k, t = np.nonzero(act.T)                # ordered by task, then step
+    first = np.diff(k, prepend=-1) != 0
+    gaps = np.full(act.shape[1], -1)
+    np.maximum.at(gaps, k[~first], np.diff(t, prepend=0)[~first] - 1)
+    return k[first][np.argsort(t[first], kind="stable")], gaps
 
 
 def _staleness_audit(cfg: dict, out_dir: str) -> dict:

@@ -143,13 +143,11 @@ class InterferenceMatrix:
     """Pairwise task interference: rho[i, j] = -cos(ema_i, ema_j).
 
     Entries touching an excluded task are NaN and carry no meaning; consumers
-    must consult ``included``.  ``tau_used`` records the threshold a graph was
-    later built with (None until then).
+    must consult ``included``.
     """
 
     rho: np.ndarray            # (K, K) float64, NaN where excluded
     included: np.ndarray       # (K,) bool
-    tau_used: float | None = None
 
     @property
     def K(self) -> int:

@@ -10,6 +10,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 CSV_SCHEMA = "# run_record v1"
 CSV_COLUMNS = "t,tau,m,active_mask,loss,grad_norm,refresh"
 
@@ -22,15 +24,26 @@ def active_mask(tasks) -> int:
     return mask
 
 
+def activity(steps, K: int) -> np.ndarray:
+    """A run's schedule as a (T, K) bool matrix: [t, k] is True iff task k is
+    active at step t.  ``steps`` holds StepRows or bare masks.
+
+    This is the one reader of the bitmask format.  Each mask is decoded once;
+    a mask with a bit at or above K (or a negative one) raises ValueError.
+    """
+    masks = [getattr(row, "active_mask", row) for row in steps]
+    for t, mask in enumerate(masks):
+        if mask < 0 or mask >> K:
+            raise ValueError(f"step {t}: active_mask {mask} has a bit at or above K={K}")
+    width = (K + 7) // 8
+    packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    octets = np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :K].astype(bool)
+
+
 def tasks_from_mask(mask: int) -> tuple:
-    out = []
-    k = 0
-    while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
-    return tuple(out)
+    """The tasks whose bits are set in ``mask``, ascending."""
+    return tuple(np.flatnonzero(activity([mask], mask.bit_length())[0]).tolist())
 
 
 def artifact_hash(csv_text: str, config: dict) -> str:

@@ -177,14 +177,11 @@ def audit_margins(suite: PlantedTaskSuite) -> dict:
         bad = int(np.argmin(norms))
         raise ValueError(f"task {bad} mean norm {norms[bad]} below m0={suite.m0}")
     cos = (suite.mu @ suite.mu.T) / np.outer(norms, norms)
-    worst_cross = -np.inf
-    worst_within = np.inf
-    for i in range(suite.K):
-        for j in range(i + 1, suite.K):
-            if suite.group_of[i] == suite.group_of[j]:
-                worst_within = min(worst_within, cos[i, j])
-            else:
-                worst_cross = max(worst_cross, cos[i, j])
+    group = np.asarray(suite.group_of)
+    same = group[:, None] == group[None, :]
+    upper = np.triu(np.ones_like(same), 1)
+    worst_cross = cos[upper & ~same].max(initial=-np.inf)
+    worst_within = cos[upper & same].min(initial=np.inf)
     cross_cap = -(suite.tau + suite.gamma)
     within_floor = -(suite.tau - suite.gamma)
     if worst_cross > cross_cap + 1e-12:

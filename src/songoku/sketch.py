@@ -371,7 +371,6 @@ class GramCache:
     gram: np.ndarray            # K x K
     row_norms: np.ndarray       # K
     rows: np.ndarray            # copy of the matrix the cache reflects
-    row_version: np.ndarray     # per-row update counters
     matrix_version: int = 0
     updates_since_rebuild: int = 0
     rebuild_every: int = 16
@@ -395,7 +394,6 @@ def build_gram_cache(
         gram=M @ M.T,
         row_norms=np.linalg.norm(M, axis=1),
         rows=M.copy(),
-        row_version=np.zeros(K, dtype=np.int64),
         matrix_version=matrix_version,
         rebuild_every=rebuild_every,
     )
@@ -427,31 +425,14 @@ def incremental_gram(
         raise ValueError(f"matrix shape {M.shape} != cached {cache.rows.shape}")
     changed = sorted(int(i) for i in changed_rows)
     if matrix_version is not None and matrix_version != cache.matrix_version + 1:
-        fresh = build_gram_cache(
-            M, cache.rebuild_every, matrix_version, counter
-        )
-        cache.gram = fresh.gram
-        cache.row_norms = fresh.row_norms
-        cache.rows = fresh.rows
-        cache.row_version += 1
-        cache.matrix_version = matrix_version
-        cache.updates_since_rebuild = 0
-        return cache
+        return _rebuild(cache, M, matrix_version, counter)
     if matrix_version is not None:
         cache.matrix_version = matrix_version
     if not changed:
         return cache
     cache.updates_since_rebuild += 1
     if cache.updates_since_rebuild >= cache.rebuild_every:
-        fresh = build_gram_cache(
-            M, cache.rebuild_every, cache.matrix_version, counter
-        )
-        cache.gram = fresh.gram
-        cache.row_norms = fresh.row_norms
-        cache.rows = fresh.rows
-        cache.row_version += 1
-        cache.updates_since_rebuild = 0
-        return cache
+        return _rebuild(cache, M, cache.matrix_version, counter)
     K, d = M.shape
     for i in changed:
         cache.rows[i] = M[i]
@@ -462,7 +443,16 @@ def incremental_gram(
         cache.gram[i, :] = row_dots
         cache.gram[:, i] = row_dots
         cache.row_norms[i] = np.linalg.norm(M[i])
-        cache.row_version[i] += 1
+    return cache
+
+
+def _rebuild(cache: GramCache, M: np.ndarray, matrix_version: int,
+             counter: FlopCounter | None) -> GramCache:
+    """Refill ``cache`` from a full rebuild of ``M`` at ``matrix_version``."""
+    fresh = build_gram_cache(M, cache.rebuild_every, matrix_version, counter)
+    cache.gram, cache.row_norms, cache.rows = fresh.gram, fresh.row_norms, fresh.rows
+    cache.matrix_version = matrix_version
+    cache.updates_since_rebuild = 0
     return cache
 
 

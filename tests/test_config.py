@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from songoku import combinators, scheduler, sketch
 from songoku.config import (
     EXPERIMENTS,
     REGISTRY,
@@ -25,6 +26,14 @@ class TestDefaults:
 
     def test_experiment_choices_cover_registry(self):
         assert REGISTRY["experiment"].choices == EXPERIMENTS
+
+    def test_mode_choices_are_the_owning_modules_tuples(self):
+        assert REGISTRY["combinator_mode"].choices is combinators.MODES
+        assert REGISTRY["sketch_mode"].choices is sketch.SKETCH_MODES
+        assert REGISTRY["eta_rule"].choices is scheduler.ETA_RULES
+        assert REGISTRY["sketch_mode"].range_text() == (
+            "one of dense, jl, fd, edge_sample, incremental"
+        )
 
 
 class TestRoundTrip:

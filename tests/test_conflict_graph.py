@@ -43,12 +43,6 @@ class TestBuildGraph:
                 build_graph(mat, tau)
         build_graph(mat, 1.0)  # tau = 1 legal: graph is always empty
 
-    def test_records_tau_used(self):
-        mat = interference_matrix(GradStats(ema=np.eye(2), beta=0.9))
-        assert mat.tau_used is None
-        build_graph(mat, 0.7)
-        assert mat.tau_used == 0.7
-
     def test_edge_list_roundtrip(self):
         g = ConflictGraph.from_edges(4, edges=frozenset({(0, 2), (1, 3), (0, 1)}), tau=0.5)
         text = g.to_edge_list()

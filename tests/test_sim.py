@@ -12,6 +12,7 @@ from songoku.sim import (
     DriftingOracle,
     DriftingSuite,
     PlantedOracle,
+    PlantedTaskSuite,
     PowerWellMTL,
     QuadraticMTL,
     QuadraticOracle,
@@ -40,6 +41,27 @@ class TestPlantedSuite:
         worst = audit_margins(suite)
         assert worst["worst_cross_cos"] <= -(0.5 + 0.3) + 1e-12
         assert worst["worst_within_cos"] >= -(0.5 - 0.3) - 1e-12
+
+    @staticmethod
+    def hand_built(mu, group_of, tau=0.5, gamma=0.3):
+        mu = np.asarray(mu, dtype=float)
+        return PlantedTaskSuite(K=len(mu), d=mu.shape[1], group_of=group_of, mu=mu,
+                                sigma=0.0, gamma=gamma, m0=1.0, tau=tau, seed=0)
+
+    def test_margin_violations_raise(self):
+        # cross pair (0, 2) is orthogonal: cosine 0 > cap -(0.5 + 0.3)
+        cross = self.hand_built([[1, 0], [1, 0], [0, 1]], (0, 0, 1))
+        with pytest.raises(ValueError, match=r"cross-group cosine 0\.000000 exceeds the cap -0\.800000"):
+            audit_margins(cross)
+        # within pair (0, 1) is antipodal: cosine -1 < floor -(0.5 - 0.3)
+        within = self.hand_built([[1, 0], [-1, 0]], (0, 0))
+        with pytest.raises(ValueError, match=r"within-group cosine -1\.000000 below the floor -0\.200000"):
+            audit_margins(within)
+
+    def test_single_group_has_no_cross_pairs(self):
+        worst = audit_margins(self.hand_built([[1, 0], [1, 1], [2, 0]], (0, 0, 0)))
+        assert worst["worst_cross_cos"] == -np.inf
+        assert worst["worst_within_cos"] == pytest.approx(math.sqrt(0.5))
 
     @given(
         K=st.integers(4, 10),
