@@ -4,148 +4,27 @@ Gradient statistics are tracked as decayed averages, turned into a pairwise
 interference matrix, thresholded into a conflict graph, colored greedily, and
 executed as a cyclic round-robin over the color classes with a minimum
 per-cycle coverage guarantee and periodic regrouping.
+
+The package exports the library's entry points; every other name is
+imported from its own module (``songoku.sim``, ``songoku.conflict_graph``, ...).
 """
 
-from .grad_stats import (
-    DegenerateMatrixError,
-    GradStats,
-    InterferenceMatrix,
-    beta_for_effective_sample_size,
-    effective_sample_size,
-    interference_matrix,
-    is_tau_compatible,
-    tau_eff,
-    update_ema,
-)
-from .conflict_graph import (
-    AugmentedSchedule,
-    Coloring,
-    ConflictGraph,
-    build_graph,
-    enforce_min_coverage,
-    is_proper,
-    max_degree,
-    welsh_powell,
-)
-from .scheduler import (
-    SchedulerConfig,
-    SchedulerState,
-    active_set,
-    anneal_tau,
-    apply_update,
-    init_state,
-    refresh,
-    run,
-)
-from .combinators import (
-    AdaptiveScaleState,
-    CombinatorConfig,
-    adaptive_scale,
-    apply_combinators,
-    project_within_group,
-)
-from .sketch import (
-    FlopCounter,
-    FrequentDirections,
-    GramCache,
-    SketchConfig,
-    build_gram_cache,
-    edge_sample_graph,
-    fd_cosine_bounds,
-    fd_task_gram,
-    incremental_gram,
-    jl_project,
-    make_graph_builder,
-)
-from .sim import (
-    DescentCheck,
-    DriftingSuite,
-    ExperimentResult,
-    PlantedTaskSuite,
-    PowerWellMTL,
-    QuadraticMTL,
-    audit_margins,
-    convergence_experiment,
-    descent_check,
-    make_planted_suite,
-    recovery_rate,
-    required_effective_sample_size,
-    strict_improvement_check,
-    true_graph,
-)
-from .records import RunRecord, StepRow, WindowRecord, parse_csv
-from .config import ConfigError, defaults, emit_config, parse_config
+from .scheduler import SchedulerConfig, run
+from .combinators import CombinatorConfig
+from .sketch import SketchConfig, make_graph_builder
+from .records import RunRecord
+from .config import parse_config
 from .experiments import run_experiment
-from .bench import BenchConfig, BenchResult, run_bench
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveScaleState",
-    "AugmentedSchedule",
-    "BenchConfig",
-    "BenchResult",
-    "Coloring",
     "CombinatorConfig",
-    "ConfigError",
-    "ConflictGraph",
-    "DegenerateMatrixError",
-    "DescentCheck",
-    "DriftingSuite",
-    "ExperimentResult",
-    "FlopCounter",
-    "FrequentDirections",
-    "GradStats",
-    "GramCache",
-    "InterferenceMatrix",
-    "PlantedTaskSuite",
-    "PowerWellMTL",
-    "QuadraticMTL",
     "RunRecord",
     "SchedulerConfig",
-    "SchedulerState",
     "SketchConfig",
-    "StepRow",
-    "WindowRecord",
-    "active_set",
-    "adaptive_scale",
-    "anneal_tau",
-    "apply_combinators",
-    "apply_update",
-    "audit_margins",
-    "beta_for_effective_sample_size",
-    "build_gram_cache",
-    "build_graph",
-    "convergence_experiment",
-    "defaults",
-    "descent_check",
-    "edge_sample_graph",
-    "effective_sample_size",
-    "emit_config",
-    "enforce_min_coverage",
-    "fd_cosine_bounds",
-    "fd_task_gram",
-    "incremental_gram",
-    "init_state",
-    "interference_matrix",
-    "is_proper",
-    "is_tau_compatible",
-    "jl_project",
     "make_graph_builder",
-    "make_planted_suite",
-    "max_degree",
     "parse_config",
-    "parse_csv",
-    "project_within_group",
-    "recovery_rate",
-    "refresh",
-    "required_effective_sample_size",
     "run",
-    "run_bench",
     "run_experiment",
-    "strict_improvement_check",
-    "tau_eff",
-    "true_graph",
-    "update_ema",
-    "welsh_powell",
 ]

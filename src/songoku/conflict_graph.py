@@ -11,8 +11,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .grad_stats import InterferenceMatrix
-
 
 @dataclass(frozen=True, eq=False)
 class ConflictGraph:
@@ -82,21 +80,17 @@ class ConflictGraph:
         return cls.from_edges(int(rows[0]), edges, tau)
 
 
-def build_graph(matrix: InterferenceMatrix, tau: float) -> ConflictGraph:
-    """Threshold the interference matrix: edge (i, j) iff rho[i, j] > tau.
+def build_graph(rho: np.ndarray, tau: float) -> ConflictGraph:
+    """Threshold a (K, K) interference matrix: edge (i, j) iff rho[i, j] > tau.
 
     Strict inequality — boundary equality is a non-edge.  Only the upper
-    triangle of the included block is read, and it is mirrored.  Excluded
-    tasks never gain edges and end up as isolated vertices.
+    triangle is read, and it is mirrored.  A NaN entry is never an edge, so
+    tasks outside the kernel's included block end up as isolated vertices.
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau={tau} outside (0, 1]")
-    inc = np.flatnonzero(matrix.included)
-    block = np.ix_(inc, inc)
-    upper = np.triu(matrix.rho[block] > tau, 1)
-    adj = np.zeros((matrix.K, matrix.K), dtype=bool)
-    adj[block] = upper | upper.T
-    return ConflictGraph(adj, tau)
+    upper = np.triu(rho > tau, 1)
+    return ConflictGraph(upper | upper.T, tau)
 
 
 def max_degree(graph: ConflictGraph) -> int:

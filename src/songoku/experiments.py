@@ -247,9 +247,7 @@ def _ablation_static(cfg: dict, out_dir: str) -> dict:
         records[arm] = run(sched_cfg, DriftingOracle(suite), combinators=_combinators(cfg))
     measure_from = flip_time + cfg["R"]
     counts = {
-        arm: count_true_edge_violations(
-            rec, lambda t: suite.true_graph_at(t), from_t=measure_from
-        )
+        arm: count_true_edge_violations(rec, suite.true_graph_at, from_t=measure_from)
         for arm, rec in records.items()
     }
     csv_text = records["static"].to_csv()
@@ -393,15 +391,13 @@ def _staleness_audit(cfg: dict, out_dir: str) -> dict:
         gamma=cfg["gamma"], sigma=cfg["sigma"], m0=cfg["m0"], seed=cfg["seed"],
     )
     counter = FlopCounter()
-    flops: dict = {}
     record = run(
         _scheduler_config(cfg),
         PlantedOracle(suite),
         combinators=_combinators(cfg),
         graph_builder=_builder(cfg, counter),
-        flops=flops,
     )
-    flops.update(counter.as_dict())
+    record.flops = counter.as_dict()   # the run's own summary reports them too
     audit = audit_staleness(record)
     lines = ["# staleness_audit v1", "r,task,max_gap,bound,delta"]
     for row in audit["rows"]:
@@ -415,7 +411,7 @@ def _staleness_audit(cfg: dict, out_dir: str) -> dict:
         "max_gap": audit["max_gap"],
         "max_cross_window_gap": audit["max_cross_window_gap"],
         "within_window_ok": audit["within_window_ok"],
-        "flops": dict(flops),
+        "flops": counter.as_dict(),
         "run_content_hash": record.content_hash(),
     }
     return _write_summary(out_dir, "staleness_audit", cfg, results, csv_text)

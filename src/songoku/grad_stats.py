@@ -1,4 +1,4 @@
-"""Per-task EMA gradient buffers, interference matrix, and descent-bound helpers.
+"""Per-task EMA gradient buffers, the interference kernel, and descent-bound helpers.
 
 The interference coefficient between two tasks is the negated cosine of their
 averaged gradients: positive values mean the tasks pull the shared parameters
@@ -9,10 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class DegenerateMatrixError(ValueError):
-    """Fewer than two tasks have usable (above-floor) EMA gradients."""
 
 
 @dataclass
@@ -138,22 +134,6 @@ def beta_for_effective_sample_size(n_eff: float, R: int) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass
-class InterferenceMatrix:
-    """Pairwise task interference: rho[i, j] = -cos(ema_i, ema_j).
-
-    Entries touching an excluded task are NaN and carry no meaning; consumers
-    must consult ``included``.
-    """
-
-    rho: np.ndarray            # (K, K) float64, NaN where excluded
-    included: np.ndarray       # (K,) bool
-
-    @property
-    def K(self) -> int:
-        return self.rho.shape[0]
-
-
 def cosine_rho(gram, norm_i, norm_j):
     """rho = -clip(gram / (norm_i * norm_j), -1, 1), elementwise: the cosine
     kernel for one pair, or for a block when the norms broadcast.  The clip
@@ -161,10 +141,9 @@ def cosine_rho(gram, norm_i, norm_j):
     return -np.minimum(np.maximum(gram / (norm_i * norm_j), -1.0), 1.0)
 
 
-def interference(
-    gram: np.ndarray, norms: np.ndarray, included: np.ndarray
-) -> InterferenceMatrix:
-    """The interference matrix of a Gram: rho_ij = cosine_rho(gram_ij, n_i, n_j).
+def interference(gram: np.ndarray, norms: np.ndarray, included: np.ndarray) -> np.ndarray:
+    """The (K, K) interference matrix of a Gram, as a plain array:
+    rho_ij = cosine_rho(gram_ij, n_i, n_j).
 
     ``gram`` (n, n) and ``norms`` (n,) belong to the rows that the (K,) bool
     mask ``included`` selects, in ascending task order.  Entries outside the
@@ -183,26 +162,13 @@ def interference(
     np.fill_diagonal(block, -1.0)
     rho = np.full((K, K), np.nan)
     rho[np.ix_(idx, idx)] = block
-    return InterferenceMatrix(rho=rho, included=included)
+    return rho
 
 
-def row_interference(rows: np.ndarray, included: np.ndarray) -> InterferenceMatrix:
+def row_interference(rows: np.ndarray, included: np.ndarray) -> np.ndarray:
     """The kernel on the Gram and the norms of the ``included`` rows."""
     M = rows[included]
     return interference(M @ M.T, np.linalg.norm(M, axis=1), included)
-
-
-def interference_matrix(stats: GradStats) -> InterferenceMatrix:
-    """Negated-cosine matrix over the currently included tasks.
-
-    Raises DegenerateMatrixError when fewer than two tasks are included.
-    """
-    included = ~stats.excluded
-    if int(included.sum()) < 2:
-        raise DegenerateMatrixError(
-            f"only {int(included.sum())} task(s) above the norm floor; need >= 2"
-        )
-    return row_interference(stats.ema, included)
 
 
 def tau_eff(

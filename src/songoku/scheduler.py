@@ -51,7 +51,6 @@ class SchedulerConfig:
     anneal_a: float = 9.0
     anneal_horizon: int | None = None   # defaults to 4R
     seed: int = 0
-    d_phi: int = 0
     norm_floor: float = 1e-8
     permute_classes: bool = False
     freeze_after_first_coloring: bool = False
@@ -122,7 +121,6 @@ class SchedulerState:
     cfg: SchedulerConfig
     stats: GradStats
     theta: np.ndarray
-    phi: np.ndarray                 # (K, d_phi) per-task parameters
     rng: np.random.Generator
     graph: ConflictGraph
     coloring: Coloring
@@ -158,7 +156,6 @@ def init_state(
         cfg=cfg,
         stats=GradStats.zeros(cfg.K, cfg.d, cfg.beta, cfg.norm_floor),
         theta=theta,
-        phi=np.zeros((cfg.K, cfg.d_phi)),
         rng=np.random.default_rng(cfg.seed),
         graph=graph,
         coloring=coloring,
@@ -168,33 +165,10 @@ def init_state(
     )
 
 
-def active_set(state: SchedulerState, t: int):
-    """Tasks trained at step t: slot ((t - t_r) mod m) + 1 of the schedule."""
-    if state.schedule.m < 1:
-        raise ValueError("schedule has no slots")
-    return tuple(state.schedule.active_for_offset(t - state.t_r))
-
-
-def apply_update(state: SchedulerState, active, gradients: dict, h: dict | None, eta: float) -> SchedulerState:
-    """theta -= eta * sum of active gradients; phi_k -= eta * h_k for active k."""
-    active = sorted(active)
-    missing = [k for k in active if k not in gradients]
-    if missing:
-        raise ValueError(f"missing gradients for active tasks {missing}")
-    extra = sorted(set(gradients) - set(active))
-    if extra:
-        raise ValueError(f"gradients supplied for inactive tasks {extra}")
-    if active:
-        total = np.zeros_like(state.theta)
-        for k in active:
-            total += np.asarray(gradients[k], dtype=np.float64)
-        state.theta -= eta * total
-    if h:
-        bad = sorted(set(h) - set(active))
-        if bad:
-            raise ValueError(f"task-parameter gradients for inactive tasks {bad}")
-        for k, hk in h.items():
-            state.phi[k] -= eta * np.asarray(hk, dtype=np.float64)
+def apply_update(state: SchedulerState, total: np.ndarray, eta: float) -> SchedulerState:
+    """The parameter update of one step: theta -= eta * total, where total
+    is the sum of the step's applied gradients."""
+    state.theta -= eta * total
     return state
 
 
@@ -305,7 +279,6 @@ def run(
     oracle,
     combinators: CombinatorConfig | None = None,
     graph_builder=None,
-    flops: dict | None = None,
 ) -> RunRecord:
     """Execute T steps and return the full log.
 
@@ -315,7 +288,6 @@ def run(
     record = RunRecord(
         config=cfg.to_dict(),
         combinator_mode=(combinators.mode if combinators else "none"),
-        flops=flops if flops is not None else {},
     )
     if cfg.T == 0:
         return record
@@ -346,7 +318,7 @@ def run(
         total = A.sum(axis=0)
         sq_total = float(total @ total)
         _check_descent(A, sq_total, t)
-        state.theta -= eta * total
+        apply_update(state, total, eta)
         update_ema(state.stats, rows, G)
         did_refresh = (t + 1) % cfg.R == 0
         if did_refresh:

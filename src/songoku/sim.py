@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -612,8 +613,18 @@ class DriftingSuite:
             mu[self.flip_task] = -mu[self.flip_task]
         return mu
 
-    def true_graph_at(self, t: int, tau: float | None = None) -> ConflictGraph:
-        return _mean_graph(self.mu_at(t), self.base.tau if tau is None else tau)
+    @cached_property
+    def graph_before(self) -> ConflictGraph:
+        """The true graph before ``flip_time``, at the suite's threshold."""
+        return _mean_graph(self.base.mu, self.base.tau)
+
+    @cached_property
+    def graph_after(self) -> ConflictGraph:
+        """The true graph from ``flip_time`` on, at the suite's threshold."""
+        return _mean_graph(self.mu_at(self.flip_time), self.base.tau)
+
+    def true_graph_at(self, t: int) -> ConflictGraph:
+        return self.graph_after if t >= self.flip_time else self.graph_before
 
 
 # ---------------------------------------------------------------------------

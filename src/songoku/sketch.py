@@ -506,8 +506,8 @@ def make_graph_builder(
                 counter.add("fd_gram", 2 * stats.K * stats.K * scfg.ell)
             ok = _included(stats, norms)
             block = np.ix_(ok, ok)
-            mat = interference(gram_hat[block], np.sqrt(np.diag(gram_hat))[ok], ok)
-            return build_graph(mat, tau)
+            rho = interference(gram_hat[block], np.sqrt(np.diag(gram_hat))[ok], ok)
+            return build_graph(rho, tau)
 
         return fd_builder
 
@@ -556,8 +556,8 @@ def make_graph_builder(
                 )
             cache = state["cache"]
             ok = _included(stats, cache.row_norms)
-            mat = interference(cache.gram[np.ix_(ok, ok)], cache.row_norms[ok], ok)
-            return build_graph(mat, tau)
+            rho = interference(cache.gram[np.ix_(ok, ok)], cache.row_norms[ok], ok)
+            return build_graph(rho, tau)
 
         return inc_builder
 

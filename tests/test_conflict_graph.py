@@ -13,11 +13,12 @@ from songoku.conflict_graph import (
     max_degree,
     welsh_powell,
 )
-from songoku.grad_stats import GradStats, interference_matrix
+from songoku.grad_stats import GradStats, row_interference
+from songoku.scheduler import dense_graph
 
 
 def graph_from_rows(rows, tau):
-    return build_graph(interference_matrix(GradStats(ema=np.asarray(rows, float), beta=0.9)), tau)
+    return dense_graph(GradStats(ema=np.asarray(rows, float), beta=0.9), tau)
 
 
 class TestBuildGraph:
@@ -32,16 +33,16 @@ class TestBuildGraph:
 
     def test_excluded_tasks_stay_isolated(self):
         stats = GradStats(ema=np.array([[1.0, 0], [-1.0, 0], [0, 0]]), beta=0.9)
-        g = build_graph(interference_matrix(stats), tau=0.5)
+        g = dense_graph(stats, tau=0.5)
         assert g.edges == {(0, 1)}
         assert g.degrees[2] == 0
 
     def test_tau_validation(self):
-        mat = interference_matrix(GradStats(ema=np.eye(2), beta=0.9))
+        rho = row_interference(np.eye(2), np.ones(2, dtype=bool))
         for tau in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                build_graph(mat, tau)
-        build_graph(mat, 1.0)  # tau = 1 legal: graph is always empty
+                build_graph(rho, tau)
+        build_graph(rho, 1.0)  # tau = 1 legal: graph is always empty
 
     def test_edge_list_roundtrip(self):
         g = ConflictGraph.from_edges(4, edges=frozenset({(0, 2), (1, 3), (0, 1)}), tau=0.5)

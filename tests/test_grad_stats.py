@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from songoku.grad_stats import (
-    DegenerateMatrixError,
     GradStats,
     beta_for_effective_sample_size,
     effective_sample_size,
-    interference_matrix,
     is_tau_compatible,
+    row_interference,
     tau_eff,
     update_ema,
 )
@@ -127,35 +126,31 @@ class TestEffectiveSampleSize:
             beta_for_effective_sample_size(9.0, 8)
 
 
-def _stats_from(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    return GradStats(ema=rows, beta=0.9)
+def _rho(rows, beta=0.9):
+    """The dense refresh's kernel call on EMA rows ``rows``."""
+    stats = GradStats(ema=np.asarray(rows, dtype=np.float64), beta=beta)
+    return row_interference(stats.ema, ~stats.excluded)
 
 
 class TestInterferenceMatrix:
     def test_opposing_pair(self):
-        mat = interference_matrix(_stats_from([[1.0, 0.0], [-1.0, 0.0]]))
-        assert mat.rho[0, 1] == pytest.approx(1.0)
-        assert mat.rho[1, 0] == pytest.approx(1.0)
+        rho = _rho([[1.0, 0.0], [-1.0, 0.0]])
+        assert rho[0, 1] == pytest.approx(1.0)
+        assert rho[1, 0] == pytest.approx(1.0)
 
     def test_diagonal_is_minus_one(self):
-        mat = interference_matrix(_stats_from(np.eye(3)))
-        assert np.all(np.diag(mat.rho) == -1.0)
+        rho = _rho(np.eye(3))
+        assert np.all(np.diag(rho) == -1.0)
 
     def test_orthogonal_pair_is_zero(self):
-        mat = interference_matrix(_stats_from([[1.0, 0.0], [0.0, 2.0]]))
-        assert mat.rho[0, 1] == pytest.approx(0.0, abs=1e-15)
+        rho = _rho([[1.0, 0.0], [0.0, 2.0]])
+        assert rho[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_excluded_rows_are_nan(self):
-        stats = _stats_from([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        mat = interference_matrix(stats)
-        assert mat.included.tolist() == [True, True, False]
-        assert np.isnan(mat.rho[2, 0]) and np.isnan(mat.rho[0, 2])
-        assert np.isfinite(mat.rho[0, 1])
-
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateMatrixError):
-            interference_matrix(_stats_from([[1.0, 0.0], [0.0, 0.0]]))
+        rho = _rho([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert rho.shape == (3, 3)
+        assert np.isnan(rho[2]).all() and np.isnan(rho[:, 2]).all()
+        assert np.isfinite(rho[:2, :2]).all()
 
     @given(
         hnp.arrays(
@@ -166,12 +161,9 @@ class TestInterferenceMatrix:
     )
     @settings(max_examples=150)
     def test_symmetry_and_range(self, rows):
-        norms = np.linalg.norm(rows, axis=1)
-        if (norms < 1e-8).sum() > rows.shape[0] - 2:
-            return  # degenerate, covered elsewhere
-        mat = interference_matrix(GradStats(ema=rows, beta=0.5))
-        idx = np.flatnonzero(mat.included)
-        sub = mat.rho[np.ix_(idx, idx)]
+        rho = _rho(rows, beta=0.5)
+        idx = np.flatnonzero(np.linalg.norm(rows, axis=1) >= 1e-8)
+        sub = rho[np.ix_(idx, idx)]
         assert np.array_equal(sub, sub.T)  # bitwise symmetric
         assert np.all(sub >= -1.0 - 1e-9) and np.all(sub <= 1.0 + 1e-9)
 

@@ -16,7 +16,6 @@ from songoku.records import (
 )
 from songoku.scheduler import (
     SchedulerConfig,
-    active_set,
     anneal_tau,
     apply_update,
     init_state,
@@ -108,7 +107,7 @@ class TestStateAndUpdates:
     def test_init_state_installs_all_task_window(self):
         state = init_state(small_cfg())
         assert state.schedule.m == 1
-        assert active_set(state, 0) == (0, 1, 2, 3)
+        assert state.schedule.active_for_offset(0) == [0, 1, 2, 3]
         assert state.tau == 1.0
         assert state.stats.included_count() == 0
 
@@ -118,29 +117,9 @@ class TestStateAndUpdates:
 
     def test_apply_update_sums_active_gradients(self):
         state = init_state(small_cfg(d=2))
-        apply_update(
-            state, (0, 1), {0: np.array([1.0, 0.0]), 1: np.array([0.0, 2.0])}, None, 0.5
-        )
+        block = np.array([[1.0, 0.0], [0.0, 2.0]])
+        apply_update(state, block.sum(axis=0), 0.5)
         np.testing.assert_allclose(state.theta, [-0.5, -1.0])
-
-    def test_apply_update_rejects_mismatches(self):
-        state = init_state(small_cfg(d=2))
-        with pytest.raises(ValueError, match="missing"):
-            apply_update(state, (0, 1), {0: np.zeros(2)}, None, 0.1)
-        with pytest.raises(ValueError, match="inactive"):
-            apply_update(
-                state, (0,), {0: np.zeros(2), 2: np.zeros(2)}, None, 0.1
-            )
-
-    def test_task_parameter_updates(self):
-        state = init_state(small_cfg(d=2, d_phi=3))
-        apply_update(
-            state, (1,), {1: np.zeros(2)}, {1: np.array([1.0, 1.0, 1.0])}, 0.1
-        )
-        np.testing.assert_allclose(state.phi[1], [-0.1, -0.1, -0.1])
-        np.testing.assert_allclose(state.phi[0], 0.0)
-        with pytest.raises(ValueError, match="inactive"):
-            apply_update(state, (1,), {1: np.zeros(2)}, {0: np.ones(3)}, 0.1)
 
     def test_refresh_rebuilds_from_probes(self):
         state = init_state(small_cfg(K=2, d=2))
@@ -169,7 +148,7 @@ class TestStateAndUpdates:
         state = init_state(small_cfg(K=2, d=2))
         refresh(state, [np.array([1.0, 0.0]), np.array([-1.0, 0.0])], tau=0.5)
         state.t_r = 8
-        sets = [active_set(state, t) for t in range(8, 12)]
+        sets = [state.schedule.active_for_offset(t - state.t_r) for t in range(8, 12)]
         assert sets[0] != sets[1]
         assert sets[0] == sets[2] and sets[1] == sets[3]
 
@@ -313,8 +292,8 @@ class TestDegenerateRefresh:
 
 
 def reference_run(cfg, oracle, combinators=None, graph_builder=None):
-    """The step loop as a per-task walk: a dict of gradients, the descent
-    check summing them one by one with ``tau_eff``, ``apply_update`` and one
+    """The step loop as a per-task walk: a dict of gradients, summed one by
+    one into the update and the descent check with ``tau_eff``, and one
     ``update_ema`` call per active task."""
     record = RunRecord(
         config=cfg.to_dict(),
@@ -342,7 +321,7 @@ def reference_run(cfg, oracle, combinators=None, graph_builder=None):
             total += g
             sq += float(g @ g)
         assert float(total @ total) >= (1.0 - tau_eff(applied)) * sq - 1e-9 * max(sq, 1.0)
-        apply_update(state, tasks, dict(zip(tasks, applied)), None, eta)
+        state.theta -= eta * total
         for k in tasks:
             update_ema(state.stats, k, grads[k])
         did_refresh = (t + 1) % cfg.R == 0
@@ -404,6 +383,27 @@ class TestFusedStep:
             got, want = getattr(state.stats, name), getattr(ref_state.stats, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert state.theta.tobytes() == ref_state.theta.tobytes()
+
+
+class TestDescentCheck:
+    """``run`` hands the check the squared norm of the applied block's own
+    sum, so on finite input it cannot fire there; these tests call it
+    directly."""
+
+    def test_understated_sum_raises_naming_the_step(self):
+        # aligned rows: tau_eff = 0, so the bound is the full 7.25
+        A = np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 1.0]])
+        with pytest.raises(RuntimeError, match=r"violated at step 17:"):
+            scheduler._check_descent(A, 0.5 * float(np.sum(A * A)), 17)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_true_sum_passes(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((int(rng.integers(1, 9)), 16))
+        antipodal = np.vstack([A[:1], -A[:1]])
+        for block in (A, antipodal, np.vstack([A, -A])):
+            total = block.sum(axis=0)
+            scheduler._check_descent(block, float(total @ total), seed)
 
 
 class FaultyOracle(PlantedOracle):

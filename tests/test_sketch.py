@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from songoku.grad_stats import GradStats, interference_matrix
-from songoku.conflict_graph import build_graph
+from songoku.grad_stats import GradStats
+from songoku.scheduler import dense_graph
 from songoku.sketch import (
     FlopCounter,
     FrequentDirections,
@@ -323,9 +323,6 @@ def separated_stats(K=6, d=32, seed=0):
 
 
 class TestGraphBuilders:
-    def dense_graph(self, stats, tau=0.5):
-        return build_graph(interference_matrix(stats), tau)
-
     @pytest.mark.parametrize("mode", ["dense", "fd", "edge_sample", "incremental"])
     def test_matches_dense_on_separated_instance(self, mode):
         stats = separated_stats()
@@ -334,14 +331,14 @@ class TestGraphBuilders:
             SketchConfig(mode=mode, ell=8, epsilon=0.3), counter=counter, seed=0
         )
         graph = builder(stats, 0.5, 1)
-        assert graph.edges == self.dense_graph(stats).edges
+        assert graph.edges == dense_graph(stats, 0.5).edges
         assert counter.total() > 0
 
     def test_jl_matches_at_full_rank_instance(self):
         stats = separated_stats(d=64)
         builder = make_graph_builder(SketchConfig(mode="jl", r=64), seed=0)
         graph = builder(stats, 0.5, 1)
-        assert graph.edges == self.dense_graph(stats).edges
+        assert graph.edges == dense_graph(stats, 0.5).edges
 
     def test_incremental_builder_reuses_cache(self):
         stats = separated_stats()
