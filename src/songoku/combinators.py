@@ -1,13 +1,15 @@
 """Optimizer layers composable with the scheduler.
 
-Two lightweight per-step transforms applied to the gradients of the active
-set, after selection and before the parameter update:
+Two lightweight per-step transforms of the step's ``(n, d)`` gradient block,
+one row per active task, applied after selection and before the parameter
+update.  Each takes the block and returns a new one:
 
 * ``project_within_group`` — pairwise conflict projection: whenever two
   gradients point against each other, the first loses its component along the
   second (applied over ordered pairs in a randomized order).
 * ``adaptive_scale`` — per-task step normalization by a running EMA of each
-  task's gradient norm.
+  task's gradient norm, kept in a ``(K,)`` array that is NaN until a task's
+  first scaled step.
 
 Composition order is fixed: select -> project -> scale -> update.
 """
@@ -46,8 +48,8 @@ class CombinatorConfig:
         return self.mode in ("adaptive_scale", "project_and_scale")
 
 
-def project_within_group(gradients, rng: np.random.Generator | None = None):
-    """Pairwise de-conflict a list of gradients.
+def project_within_group(G: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Pairwise de-conflict the rows of the block ``G``; returns a new block.
 
     For every ordered pair (i, j) with ``<g_i', g_j> < 0`` the running copy of
     g_i drops its component along g_j.  Pair order is shuffled when an rng is
@@ -58,74 +60,64 @@ def project_within_group(gradients, rng: np.random.Generator | None = None):
     gradients; from three up, later projections can reopen earlier pairs, so
     the achieved minimum pairwise inner product is logged instead of enforced.
     """
-    n = len(gradients)
+    G = np.asarray(G, dtype=np.float64)
+    out = G.copy()
+    n = len(G)
     if n <= 1:
-        return [np.array(g, dtype=np.float64, copy=True) for g in gradients]
-    out = [np.array(g, dtype=np.float64, copy=True) for g in gradients]
-    sq = [float(g @ g) for g in gradients]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        return out
+    outs, src = list(out), list(G)   # row views: outs[i] writes into out
+    sq = [float(g @ g) for g in src]
+    # pair p is (i, j) = the p-th of the lexicographic ordered pairs i != j;
+    # shuffling the indices draws what shuffling the list of pairs draws
+    order = np.arange(n * (n - 1))
     if rng is not None:
-        rng.shuffle(pairs)
-    for i, j in pairs:
+        rng.shuffle(order)
+    for p in order.tolist():
+        i, r = divmod(p, n - 1)
+        j = r + (r >= i)
         if sq[j] <= 0.0:
             continue
-        gj = gradients[j]
-        dot = float(out[i] @ gj)
+        dot = float(outs[i] @ src[j])
         if dot < 0.0:
-            out[i] = out[i] - (dot / sq[j]) * gj
+            outs[i] -= (dot / sq[j]) * src[j]
     if n >= 3 and logger.isEnabledFor(logging.DEBUG):
         residual = min(
-            float(out[i] @ out[j]) for i in range(n) for j in range(i + 1, n)
+            float(outs[i] @ outs[j]) for i in range(n) for j in range(i + 1, n)
         )
         logger.debug("projection residual: min pairwise inner product %.3e", residual)
     return out
 
 
-@dataclass
-class AdaptiveScaleState:
-    """Running per-task gradient-norm EMAs for step-size normalization.
-
-    Norm trackers initialize lazily to the first observed norm so the first
-    scaled step is ~unit size rather than floor-inflated.
-    """
-
-    beta: float
-    floor: float
-    norm_ema: dict = None
-
-    def __post_init__(self):
-        if self.norm_ema is None:
-            self.norm_ema = {}
-
-
-def adaptive_scale(task: int, grad: np.ndarray, state: AdaptiveScaleState) -> np.ndarray:
-    """Divide by max(floor, current norm EMA); EMA updated *after* use."""
-    norm = float(np.linalg.norm(grad))
-    if task not in state.norm_ema:
-        state.norm_ema[task] = norm
-    scale = max(state.floor, state.norm_ema[task])
-    scaled = grad / scale
-    state.norm_ema[task] = state.beta * state.norm_ema[task] + (1.0 - state.beta) * norm
+def adaptive_scale(
+    rows: np.ndarray, A: np.ndarray, scale_ema: np.ndarray, cfg: CombinatorConfig
+) -> np.ndarray:
+    """Divide each row of ``A`` by max(floor, its task's norm EMA); returns a
+    new block.  ``rows`` holds the block's distinct task indices into the
+    (K,) array ``scale_ema``, which is updated in place *after* use.  A NaN
+    entry initializes to the task's first observed norm, so its first scaled
+    step is ~unit size rather than floor-inflated."""
+    norms = np.array([np.linalg.norm(a) for a in A])
+    ema = scale_ema[rows]
+    ema = np.where(np.isnan(ema), norms, ema)
+    scaled = A / np.maximum(cfg.scale_floor, ema)[:, None]
+    beta = cfg.scale_ema_beta
+    scale_ema[rows] = beta * ema + (1.0 - beta) * norms
     return scaled
 
 
 def apply_combinators(
-    tasks,
-    gradients,
+    rows: np.ndarray,
+    G: np.ndarray,
     cfg: CombinatorConfig | None,
-    scale_state: AdaptiveScaleState | None,
+    scale_ema: np.ndarray,
     rng: np.random.Generator | None,
-):
-    """Run the configured transform chain on the active set's gradients.
-
-    ``tasks`` and ``gradients`` are parallel sequences.  Returns the
-    transformed gradient list (same order).
-    """
+) -> np.ndarray:
+    """Run the configured transform chain on the step's ``(n, d)`` block,
+    whose row r belongs to task ``rows[r]``.  Returns ``G`` itself when no
+    transform is configured, otherwise a new block."""
     if cfg is None or cfg.mode == "none":
-        return list(gradients)
-    gs = list(gradients)
-    if cfg.projects:
-        gs = project_within_group(gs, rng)
+        return G
+    A = project_within_group(G, rng) if cfg.projects else G
     if cfg.scales:
-        gs = [adaptive_scale(k, g, scale_state) for k, g in zip(tasks, gs)]
-    return gs
+        A = adaptive_scale(rows, A, scale_ema, cfg)
+    return A

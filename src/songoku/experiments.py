@@ -397,7 +397,6 @@ def _staleness_audit(cfg: dict, out_dir: str) -> dict:
         combinators=_combinators(cfg),
         graph_builder=_builder(cfg, counter),
     )
-    record.flops = counter.as_dict()   # the run's own summary reports them too
     audit = audit_staleness(record)
     lines = ["# staleness_audit v1", "r,task,max_gap,bound,delta"]
     for row in audit["rows"]:

@@ -112,7 +112,6 @@ class RunRecord:
     config: dict
     steps: list = field(default_factory=list)        # list[StepRow]
     windows: list = field(default_factory=list)      # list[WindowRecord]
-    flops: dict = field(default_factory=dict)
     combinator_mode: str = "none"
 
     def to_csv(self) -> str:
@@ -133,7 +132,6 @@ class RunRecord:
             "coverage_failures": sorted(
                 {k for w in self.windows for k in w.coverage_failures}
             ),
-            "flops": dict(self.flops),
             "content_hash": self.content_hash(),
         }
 

@@ -30,7 +30,7 @@ from .conflict_graph import (
     enforce_min_coverage,
     welsh_powell,
 )
-from .combinators import AdaptiveScaleState, CombinatorConfig, apply_combinators
+from .combinators import CombinatorConfig, apply_combinators
 from .records import RunRecord, StepRow, WindowRecord, active_mask
 
 ETA_RULES = ("fixed", "const_over_sqrt_T")
@@ -125,18 +125,14 @@ class SchedulerState:
     graph: ConflictGraph
     coloring: Coloring
     schedule: AugmentedSchedule
+    scale_ema: np.ndarray           # (K,) adaptive-scale norm EMAs, NaN until used
     r: int = 0                      # window (round) index
     t_r: int = 0                    # first step served by the current window
     tau: float = 1.0                # threshold the current window was built with
     frozen: bool = False
-    scale_state: AdaptiveScaleState | None = None
 
 
-def init_state(
-    cfg: SchedulerConfig,
-    theta0: np.ndarray | None = None,
-    combinators: CombinatorConfig | None = None,
-) -> SchedulerState:
+def init_state(cfg: SchedulerConfig, theta0: np.ndarray | None = None) -> SchedulerState:
     """Install the initial all-task window: the edgeless graph's one class
     (no probes; statistics are empty)."""
     tau0 = anneal_tau(0, cfg)
@@ -147,11 +143,6 @@ def init_state(
     )
     if theta.shape != (cfg.d,):
         raise ValueError(f"theta0 shape {theta.shape} != ({cfg.d},)")
-    scale_state = None
-    if combinators is not None and combinators.scales:
-        scale_state = AdaptiveScaleState(
-            beta=combinators.scale_ema_beta, floor=combinators.scale_floor
-        )
     return SchedulerState(
         cfg=cfg,
         stats=GradStats.zeros(cfg.K, cfg.d, cfg.beta, cfg.norm_floor),
@@ -160,8 +151,8 @@ def init_state(
         graph=graph,
         coloring=coloring,
         schedule=enforce_min_coverage(coloring, graph, cfg.f_min),
+        scale_ema=np.full(cfg.K, np.nan),
         tau=tau0,
-        scale_state=scale_state,
     )
 
 
@@ -292,11 +283,10 @@ def run(
     if cfg.T == 0:
         return record
     theta0 = oracle.init_theta() if hasattr(oracle, "init_theta") else None
-    state = init_state(cfg, theta0, combinators)
+    state = init_state(cfg, theta0)
     record.windows.append(_window_record(state, t_start=0))
     eta = cfg.step_size()
     clock = getattr(oracle, "set_time", None)
-    transforms = combinators is not None and combinators.mode != "none"
     slots = _slots(state.schedule)
     for t in range(cfg.T):
         if clock is not None:
@@ -308,11 +298,7 @@ def run(
             [oracle.gradient(k, state.theta, state.rng) for k in tasks], tasks, cfg.d, t
         )
         loss = float(oracle.loss(state.theta))
-        A = G
-        if transforms:
-            A = np.array(
-                apply_combinators(tasks, G, combinators, state.scale_state, state.rng)
-            )
+        A = apply_combinators(rows, G, combinators, state.scale_ema, state.rng)
         # an axis-0 sum adds the rows in task order, like a running
         # `total += g`, so the update and grad_norm keep their bits
         total = A.sum(axis=0)

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .conflict_graph import ConflictGraph, build_graph
-from .grad_stats import is_tau_compatible, row_interference, tau_eff
+from .grad_stats import cosine_rho, is_tau_compatible, row_interference, tau_eff
 
 # Calibrated once on the reference recovery configuration (K=8, d=8, two
 # groups, tau=0.5, gamma=0.3, sigma=1, m0=1): the smallest half-integer
@@ -249,10 +249,8 @@ def _edges_match(ema: np.ndarray, truth: np.ndarray, tau: float) -> np.ndarray:
     """Per-trial boolean: thresholded EMA cosine graph equals the truth."""
     norms = np.linalg.norm(ema, axis=2)
     gram = np.einsum("tkd,tld->tkl", ema, ema)
-    denom = norms[:, :, None] * norms[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.where(denom > 0.0, gram / denom, 1.0)
-    edges_hat = -cos > tau
+        edges_hat = cosine_rho(gram, norms[:, :, None], norms[:, None, :]) > tau
     K = ema.shape[1]
     off = ~np.eye(K, dtype=bool)
     return np.all((edges_hat == truth[None, :, :]) | ~off[None, :, :], axis=(1, 2))

@@ -13,6 +13,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "schedule_bench")]
 
 import tracer  # noqa: E402
 from songoku import scheduler  # noqa: E402
+from songoku.combinators import CombinatorConfig  # noqa: E402
 from songoku.records import RunRecord  # noqa: E402
 from songoku.sim import PlantedOracle, make_planted_suite  # noqa: E402
 
@@ -24,16 +25,30 @@ def test_every_traced_name_resolves():
         assert callable(getattr(RunRecord, attr, None)), f"RunRecord.{attr} ({span})"
 
 
-def test_a_traced_run_records_one_update_span_per_step():
-    T = 24
+def traced_calls(T, combinators=None):
+    """Span name -> calls of one traced ``scheduler.run`` of T steps."""
     suite = make_planted_suite(
         K=4, d=6, groups=2, tau=0.5, gamma=0.3, sigma=0.5, m0=1.0, seed=0
     )
     cfg = scheduler.SchedulerConfig(K=4, d=6, T=T, R=8, beta=0.8, seed=3)
     trace = tracer.Tracer()
     with trace.round():
-        scheduler.run(cfg, PlantedOracle(suite))
+        scheduler.run(cfg, PlantedOracle(suite), combinators=combinators)
     (spans,) = trace.rounds
-    calls = {name: calls for name, (calls, _) in trace.self_times(spans).items()}
+    return {name: calls for name, (calls, _) in trace.self_times(spans).items()}
+
+
+def test_a_traced_run_records_one_update_span_per_step():
+    T = 24
+    calls = traced_calls(T)
     assert calls["scheduler.apply_update"] == T
     assert calls["scheduler.run"] == 1
+
+
+def test_a_traced_run_records_one_span_per_combinator_per_step():
+    # each combinator takes the step's whole block: one call per step, not
+    # one per active task
+    T = 24
+    calls = traced_calls(T, CombinatorConfig(mode="project_and_scale"))
+    assert calls["combinators.project_within_group"] == T
+    assert calls["combinators.adaptive_scale"] == T

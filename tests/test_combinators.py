@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from songoku.combinators import (
-    AdaptiveScaleState,
     CombinatorConfig,
     adaptive_scale,
     apply_combinators,
@@ -18,29 +17,30 @@ class TestProjection:
         # g1 = (1, 0) against g2 = (-1, 1): dot = -1 < 0, so g1 loses its
         # component along g2 -> (0.5, 0.5); the reverse pair then strips g2's
         # component along the original g1 -> (0, 1)
-        g1, g2 = np.array([1.0, 0.0]), np.array([-1.0, 1.0])
-        out = project_within_group([g1, g2])
+        G = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        out = project_within_group(G)
+        assert out.shape == G.shape and out is not G
         np.testing.assert_allclose(out[0], [0.5, 0.5])
         np.testing.assert_allclose(out[1], [0.0, 1.0])
 
     def test_agreeing_pair_untouched(self):
-        g1, g2 = np.array([1.0, 0.0]), np.array([0.5, 0.5])
-        out = project_within_group([g1, g2])
-        np.testing.assert_array_equal(out[0], g1)
-        np.testing.assert_array_equal(out[1], g2)
+        G = np.array([[1.0, 0.0], [0.5, 0.5]])
+        np.testing.assert_array_equal(project_within_group(G), G)
 
     def test_inputs_not_mutated(self):
-        g1, g2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        project_within_group([g1, g2])
-        np.testing.assert_array_equal(g1, [1.0, 0.0])
+        G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        project_within_group(G)
+        np.testing.assert_array_equal(G, [[1.0, 0.0], [-1.0, 0.0]])
 
     def test_zero_gradient_is_inert(self):
-        out = project_within_group([np.zeros(2), np.array([1.0, 1.0])])
+        out = project_within_group(np.array([[0.0, 0.0], [1.0, 1.0]]))
         np.testing.assert_array_equal(out[0], 0.0)
 
     def test_singleton_passthrough(self):
-        (out,) = project_within_group([np.array([3.0, -1.0])])
-        np.testing.assert_array_equal(out, [3.0, -1.0])
+        G = np.array([[3.0, -1.0]])
+        out = project_within_group(G)
+        assert out is not G
+        np.testing.assert_array_equal(out, G)
 
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_matches_per_pair_norms_bit_for_bit(self, seed):
@@ -67,7 +67,7 @@ class TestProjection:
             G[n // 2] = 0.0
             rng_a = None if seed is None else np.random.default_rng(seed)
             rng_b = None if seed is None else np.random.default_rng(seed)
-            got = project_within_group(list(G), rng_a)
+            got = project_within_group(G, rng_a)
             want = per_pair(list(G), rng_b)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
             if seed is not None:   # the same draws were consumed
@@ -83,7 +83,7 @@ class TestProjection:
     )
     @settings(max_examples=200)
     def test_two_task_outputs_never_conflict(self, G, seed):
-        out = project_within_group(list(G), np.random.default_rng(seed))
+        out = project_within_group(G, np.random.default_rng(seed))
         scale = max(float(np.abs(G).max()) ** 2, 1.0)
         assert float(out[0] @ out[1]) >= -1e-9 * scale
         assert float(out[0] @ G[1]) >= -1e-9 * scale
@@ -92,11 +92,7 @@ class TestProjection:
     def test_three_tasks_may_still_conflict(self):
         # a later projection can reopen an earlier pair: single-pass pairwise
         # projection only guarantees non-conflict for two gradients
-        G = [
-            np.array([0.37, 2.27]),
-            np.array([-2.08, 0.89]),
-            np.array([1.03, -2.82]),
-        ]
+        G = np.array([[0.37, 2.27], [-2.08, 0.89], [1.03, -2.82]])
         out = project_within_group(G)  # deterministic pair order
         worst = min(
             float(out[i] @ out[j]) for i in range(3) for j in range(i + 1, 3)
@@ -112,7 +108,7 @@ class TestProjection:
     )
     @settings(max_examples=150)
     def test_contraction(self, G):
-        out = project_within_group(list(G))
+        out = project_within_group(G)
         for before, after in zip(G, out):
             assert np.linalg.norm(after) <= np.linalg.norm(before) + 1e-12
 
@@ -120,12 +116,13 @@ class TestProjection:
 class TestAdaptiveScale:
     def test_hand_unrolled_alternating_norms(self):
         # norms 1, 3, 1, 3 with beta = 0.5; EMA trails by one step
-        state = AdaptiveScaleState(beta=0.5, floor=1e-6)
+        cfg = CombinatorConfig(scale_ema_beta=0.5)
+        scale_ema = np.full(1, np.nan)
         seq = [1.0, 3.0, 1.0, 3.0]
         scales = []
         for norm in seq:
-            out = adaptive_scale(0, np.array([norm, 0.0]), state)
-            scales.append(norm / float(np.linalg.norm(out)) if norm else None)
+            out = adaptive_scale(np.array([0]), np.array([[norm, 0.0]]), scale_ema, cfg)
+            scales.append(norm / float(np.linalg.norm(out)))
         # first step: lazy init -> EMA = 1 -> unit output
         assert scales[0] == pytest.approx(1.0)
         # second: EMA still 1 (updated after use)
@@ -136,27 +133,33 @@ class TestAdaptiveScale:
         assert scales[3] == pytest.approx(1.5)
 
     def test_floor_guards_vanishing_norms(self):
-        state = AdaptiveScaleState(beta=0.0, floor=0.5)
-        adaptive_scale(0, np.zeros(2), state)  # installs EMA 0
-        out = adaptive_scale(0, np.array([1.0, 0.0]), state)
-        np.testing.assert_allclose(out, [2.0, 0.0])  # divided by the floor
+        cfg = CombinatorConfig(scale_ema_beta=0.0, scale_floor=0.5)
+        scale_ema = np.full(1, np.nan)
+        adaptive_scale(np.array([0]), np.zeros((1, 2)), scale_ema, cfg)  # installs EMA 0
+        out = adaptive_scale(np.array([0]), np.array([[1.0, 0.0]]), scale_ema, cfg)
+        np.testing.assert_allclose(out, [[2.0, 0.0]])  # divided by the floor
 
     def test_tasks_tracked_independently(self):
-        state = AdaptiveScaleState(beta=0.5, floor=1e-6)
-        adaptive_scale(0, np.array([4.0, 0.0]), state)
-        adaptive_scale(1, np.array([0.25, 0.0]), state)
-        assert state.norm_ema[0] == pytest.approx(4.0)
-        assert state.norm_ema[1] == pytest.approx(0.25)
+        cfg = CombinatorConfig(scale_ema_beta=0.5)
+        scale_ema = np.full(3, np.nan)
+        A = np.array([[4.0, 0.0], [0.0, 0.25]])
+        out = adaptive_scale(np.array([0, 2]), A, scale_ema, cfg)
+        np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 1.0]])
+        assert scale_ema[0] == pytest.approx(4.0)
+        assert np.isnan(scale_ema[1])          # never scaled
+        assert scale_ema[2] == pytest.approx(0.25)
 
 
 class TestApplyCombinators:
     def conflict_pair(self):
-        return [np.array([1.0, 0.0]), np.array([-1.0, 1.0])]
+        return np.array([[1.0, 0.0], [-1.0, 1.0]])
 
     def test_none_passthrough(self):
-        gs = self.conflict_pair()
-        out = apply_combinators((0, 1), gs, None, None, None)
-        assert out is not gs and out[0] is gs[0]
+        G = self.conflict_pair()
+        scale_ema = np.full(2, np.nan)
+        for cfg in (None, CombinatorConfig(mode="none")):
+            assert apply_combinators(np.arange(2), G, cfg, scale_ema, None) is G
+        assert np.isnan(scale_ema).all()
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -168,17 +171,18 @@ class TestApplyCombinators:
 
     def test_project_then_scale_order(self):
         cfg = CombinatorConfig(mode="project_and_scale", scale_ema_beta=0.5)
-        state = AdaptiveScaleState(beta=0.5, floor=1e-6)
-        out = apply_combinators((0, 1), self.conflict_pair(), cfg, state, None)
+        scale_ema = np.full(2, np.nan)
+        out = apply_combinators(np.arange(2), self.conflict_pair(), cfg, scale_ema, None)
         # projection first gives (0.5, 0.5) with norm 1/sqrt(2); lazy scale
         # init then normalizes by that same norm -> unit vector
         np.testing.assert_allclose(np.linalg.norm(out[0]), 1.0)
         np.testing.assert_allclose(out[0], [2**-0.5, 2**-0.5])
         # the scale EMA saw the *projected* norm, confirming the order
-        assert state.norm_ema[0] == pytest.approx(2**-0.5)
+        assert scale_ema[0] == pytest.approx(2**-0.5)
 
     def test_scale_only(self):
         cfg = CombinatorConfig(mode="adaptive_scale")
-        state = AdaptiveScaleState(beta=0.9, floor=1e-6)
-        out = apply_combinators((7,), [np.array([0.0, 5.0])], cfg, state, None)
-        np.testing.assert_allclose(out[0], [0.0, 1.0])
+        scale_ema = np.full(8, np.nan)
+        out = apply_combinators(np.array([7]), np.array([[0.0, 5.0]]), cfg, scale_ema, None)
+        np.testing.assert_allclose(out, [[0.0, 1.0]])
+        assert scale_ema[7] == pytest.approx(5.0)

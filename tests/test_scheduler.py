@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from songoku import scheduler
-from songoku.combinators import CombinatorConfig, apply_combinators
+from songoku.combinators import CombinatorConfig
 from songoku.grad_stats import tau_eff, update_ema
 from songoku.records import (
     RunRecord,
@@ -28,6 +28,7 @@ from songoku.sim import (
     make_planted_suite,
     reference_block_diagonal_instance,
 )
+from test_combinator_reference import as_array, ref_apply_combinators, ref_scale_state
 
 
 def small_cfg(**kw):
@@ -292,15 +293,18 @@ class TestDegenerateRefresh:
 
 
 def reference_run(cfg, oracle, combinators=None, graph_builder=None):
-    """The step loop as a per-task walk: a dict of gradients, summed one by
-    one into the update and the descent check with ``tau_eff``, and one
-    ``update_ema`` call per active task."""
+    """The step loop as a per-task walk: a dict of gradients, the list-based
+    reference combinators with their dict of scale EMAs, the applied rows
+    summed one by one into the update and the descent check with
+    ``tau_eff``, and one ``update_ema`` call per active task.  Returns the
+    record, the state and the reference scale state."""
     record = RunRecord(
         config=cfg.to_dict(),
         combinator_mode=combinators.mode if combinators else "none",
     )
     theta0 = oracle.init_theta() if hasattr(oracle, "init_theta") else None
-    state = init_state(cfg, theta0, combinators)
+    state = init_state(cfg, theta0)
+    scale_state = ref_scale_state(combinators) if combinators is not None else None
     record.windows.append(scheduler._window_record(state, t_start=0))
     eta = cfg.step_size()
     for t in range(cfg.T):
@@ -312,8 +316,8 @@ def reference_run(cfg, oracle, combinators=None, graph_builder=None):
             for k in tasks
         }
         loss = float(oracle.loss(state.theta))
-        applied = apply_combinators(
-            tasks, [grads[k] for k in tasks], combinators, state.scale_state, state.rng
+        applied = ref_apply_combinators(
+            tasks, [grads[k] for k in tasks], combinators, scale_state, state.rng
         )
         total = np.zeros_like(applied[0])
         sq = 0.0
@@ -341,7 +345,7 @@ def reference_run(cfg, oracle, combinators=None, graph_builder=None):
                 refresh=did_refresh,
             )
         )
-    return record, state
+    return record, state, scale_state
 
 
 def per_row_update_ema(stats, task, grad):
@@ -373,7 +377,7 @@ class TestFusedStep:
         record = run(cfg, PlantedOracle(suite), combinators=comb)
         monkeypatch.undo()
         monkeypatch.setattr(scheduler, "update_ema", per_row_update_ema)
-        expect, ref_state = reference_run(cfg, PlantedOracle(suite), combinators=comb)
+        expect, ref_state, ref_scale = reference_run(cfg, PlantedOracle(suite), combinators=comb)
 
         assert any(w.extra_slots for w in record.windows)   # extra slots were served
         assert record.to_csv() == expect.to_csv()
@@ -383,6 +387,8 @@ class TestFusedStep:
             got, want = getattr(state.stats, name), getattr(ref_state.stats, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert state.theta.tobytes() == ref_state.theta.tobytes()
+        assert state.scale_ema.tobytes() == as_array(ref_scale.norm_ema, cfg.K).tobytes()
+        assert np.isnan(state.scale_ema).all() == (not comb.scales)
 
 
 class TestDescentCheck:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from songoku import sim
 from songoku.conflict_graph import welsh_powell
 from songoku.grad_stats import effective_sample_size
 from songoku.sim import (
@@ -166,6 +167,24 @@ class TestRecovery:
         strong = recovery_rate(suite, beta=beta, R=200, tau=0.5, trials=150, seed=2)
         assert strong.rate > weak.rate
         assert effective_sample_size(beta, 200) == pytest.approx(n_eff, rel=1e-6)
+
+    def test_edges_match_thresholds_the_clipped_kernel(self):
+        # an antipodal pair whose rounded cosine falls below -1 is no edge at
+        # tau = 1 (rho is clipped to 1), and a zero row is never an edge
+        for seed in range(200):
+            u = np.random.default_rng(seed).standard_normal(7)
+            ema = np.stack([np.stack([u, -u, np.zeros(7)])])
+            norms = np.linalg.norm(ema, axis=2)
+            gram = np.einsum("tkd,tld->tkl", ema, ema)
+            if gram[0, 0, 1] / (norms[0, 0] * norms[0, 1]) < -1.0:
+                break
+        else:
+            pytest.fail("no seed gives a rounded cosine below -1")
+        no_edges = np.zeros((3, 3), dtype=bool)
+        assert sim._edges_match(ema, no_edges, 1.0).tolist() == [True]
+        edge = no_edges.copy()
+        edge[0, 1] = edge[1, 0] = True
+        assert sim._edges_match(ema, edge, 0.5).tolist() == [True]
 
 
 class TestQuadratics:
