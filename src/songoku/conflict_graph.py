@@ -64,21 +64,6 @@ class ConflictGraph:
     def edges(self) -> frozenset:
         return frozenset(self.sorted_edges)
 
-    def to_edge_list(self) -> str:
-        """Plain text form: first line K, then one 'i j' line per edge."""
-        lines = [str(self.n_vertices)]
-        lines += [f"{i} {j}" for (i, j) in self.sorted_edges]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_edge_list(cls, text: str, tau: float = 1.0) -> "ConflictGraph":
-        rows = [ln for ln in text.splitlines() if ln.strip()]
-        edges = set()
-        for ln in rows[1:]:
-            i, j = (int(x) for x in ln.split())
-            edges.add((min(i, j), max(i, j)))
-        return cls.from_edges(int(rows[0]), edges, tau)
-
 
 def build_graph(rho: np.ndarray, tau: float) -> ConflictGraph:
     """Threshold a (K, K) interference matrix: edge (i, j) iff rho[i, j] > tau.

@@ -76,10 +76,6 @@ class PlantedTaskSuite:
     tau: float
     seed: int
 
-    @property
-    def n_groups(self) -> int:
-        return max(self.group_of) + 1
-
 
 def _simplex_directions(m: int, d: int) -> np.ndarray:
     """m unit vectors in R^d with pairwise cosine -1/(m-1)."""

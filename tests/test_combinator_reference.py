@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from songoku.combinators import CombinatorConfig, apply_combinators
+from songoku.combinators import CombinatorConfig, apply_combinators, project_within_group
 
 
 def ref_project_within_group(gradients, rng=None):
@@ -129,3 +129,98 @@ def test_block_combinators_match_the_list_reference(scenario):
     if seed is not None:                            # the same draws were consumed
         assert rng.random() == ref_rng.random()
 
+
+# Structured blocks for the projection alone.  The package skips every row
+# with no negative dot against a row of nonzero squared norm and walks the
+# rest; these blocks put rows on both sides of that split.
+
+
+@st.composite
+def many_rows(draw):
+    """n up to 40 at small d, with zero and antipodal rows."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    G = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-4, 4, allow_nan=False)))
+    for r in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        G[r] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.permutations(range(n)))[:2]
+        G[b] = -G[a]
+    return G
+
+
+@st.composite
+def cluster_and_pairs(draw):
+    """A mutually positive cluster next to antipodal pairs.  With the pairs
+    orthogonal to the cluster, only the pairs' rows walk."""
+    k, extra = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n_cluster, n_pairs = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    positive = st.floats(0.25, 4)
+    cluster = np.zeros((n_cluster, k + extra))
+    cluster[:, :k] = draw(hnp.arrays(np.float64, (n_cluster, k), elements=positive))
+    pairs = np.zeros((n_pairs, k + extra))
+    pairs[:, k:] = draw(hnp.arrays(np.float64, (n_pairs, extra),
+                                   elements=st.floats(-4, 4, allow_nan=False)))
+    if draw(st.booleans()):                 # or let the pairs lean on the cluster
+        pairs[:, :k] = draw(hnp.arrays(np.float64, (n_pairs, k),
+                                       elements=st.floats(-1, 1, allow_nan=False)))
+    G = np.concatenate([cluster, pairs, -pairs])
+    return G[draw(st.permutations(range(len(G))))]
+
+
+@st.composite
+def negative_only_against_zero_norm(draw):
+    """A positive block plus one row whose square underflows to 0: every other
+    row's only negative dot is against it, so none of them is projected, while
+    the tiny row itself conflicts with all of them."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 16))
+    G = draw(hnp.arrays(np.float64, (n + 1, d), elements=st.floats(0.25, 4)))
+    G[n] *= -1e-170
+    assert G[n] @ G[n] == 0.0 and (G[:n] @ G[n] < 0.0).all()
+    return G[draw(st.permutations(range(n + 1)))]
+
+
+@st.composite
+def conflict_free(draw):
+    """No negative dot anywhere: nothing walks, and the shuffle still runs."""
+    n, d = draw(st.integers(2, 24)), draw(st.integers(1, 16))
+    G = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(0, 4)))
+    for r in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        G[r] = 0.0
+    return G
+
+
+seeds = st.one_of(st.none(), st.integers(0, 2**32 - 1))
+
+
+def check_projection(G, seed):
+    rng = None if seed is None else np.random.default_rng(seed)
+    ref_rng = None if seed is None else np.random.default_rng(seed)
+    before = G.copy()
+    got = project_within_group(G, rng)
+    want = np.array(ref_project_within_group(list(G), ref_rng))
+    assert got.tobytes() == want.tobytes()
+    assert G.tobytes() == before.tobytes()
+    if seed is not None:
+        assert rng.random() == ref_rng.random()
+    return got
+
+
+@given(st.one_of(many_rows(), cluster_and_pairs(), negative_only_against_zero_norm()), seeds)
+@settings(max_examples=300, deadline=None)
+def test_projection_matches_the_list_reference_on_structured_blocks(G, seed):
+    check_projection(G, seed)
+
+
+@given(cluster_and_pairs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_cluster_rows_keep_their_bits(G, seed):
+    out = check_projection(G, seed)
+    dots = np.array([[a @ b for b in G] for a in G])
+    skipped = ~((dots < 0.0) & (np.diag(dots) > 0.0)).any(axis=1)
+    assert out[skipped].tobytes() == G[skipped].tobytes()
+
+
+@given(conflict_free(), seeds)
+@settings(max_examples=100, deadline=None)
+def test_conflict_free_blocks_come_back_unchanged_and_consume_the_same_draws(G, seed):
+    assert check_projection(G, seed).tobytes() == G.tobytes()

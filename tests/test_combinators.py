@@ -186,3 +186,34 @@ class TestApplyCombinators:
         out = apply_combinators(np.array([7]), np.array([[0.0, 5.0]]), cfg, scale_ema, None)
         np.testing.assert_allclose(out, [[0.0, 1.0]])
         assert scale_ema[7] == pytest.approx(5.0)
+
+
+class TestLayout:
+    """A block's output bytes do not depend on its memory layout: each
+    transform reads a C-contiguous float64 copy of what it is given."""
+
+    @staticmethod
+    def views(G):
+        n, d = G.shape
+        wide = np.zeros((n, 2 * d))
+        wide[:, :d] = G
+        strided = np.zeros((n, 2 * d))
+        strided[:, ::2] = G
+        return {"fortran": np.asfortranarray(G), "prefix": wide[:, :d],
+                "strided": strided[:, ::2]}
+
+    @pytest.mark.parametrize("mode", ["project", "adaptive_scale", "project_and_scale"])
+    def test_every_layout_gives_the_bytes_of_its_c_copy(self, mode):
+        cfg = CombinatorConfig(mode=mode)
+        data = np.random.default_rng(17)
+        for n, d in [(2, 33), (3, 64), (6, 128), (12, 257), (20, 512)]:
+            G = data.standard_normal((n, d))
+            rows = np.arange(n)
+            want_ema = np.full(n, np.nan)
+            want = apply_combinators(rows, G, cfg, want_ema, np.random.default_rng(n))
+            for name, V in self.views(G).items():
+                assert np.array_equal(V, G) and not V.flags.c_contiguous, name
+                ema = np.full(n, np.nan)
+                got = apply_combinators(rows, V, cfg, ema, np.random.default_rng(n))
+                assert got.tobytes() == want.tobytes(), (name, n, d)
+                assert ema.tobytes() == want_ema.tobytes(), (name, n, d)

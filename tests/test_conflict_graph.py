@@ -44,13 +44,6 @@ class TestBuildGraph:
                 build_graph(rho, tau)
         build_graph(rho, 1.0)  # tau = 1 legal: graph is always empty
 
-    def test_edge_list_roundtrip(self):
-        g = ConflictGraph.from_edges(4, edges=frozenset({(0, 2), (1, 3), (0, 1)}), tau=0.5)
-        text = g.to_edge_list()
-        assert text.splitlines()[0] == "4"
-        g2 = ConflictGraph.from_edge_list(text, tau=0.5)
-        assert g2.edges == g.edges and g2.n_vertices == 4
-
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):
             ConflictGraph.from_edges(3, edges=frozenset({(1, 1)}), tau=0.5)
