@@ -171,25 +171,15 @@ def row_interference(rows: np.ndarray, included: np.ndarray) -> np.ndarray:
     return interference(M @ M.T, np.linalg.norm(M, axis=1), included)
 
 
-def tau_eff(
-    gradients: list[np.ndarray] | np.ndarray, gram: np.ndarray | None = None
-) -> float:
-    """Aggregate conflict ratio of a gradient set.
-
-    Sum over ordered pairs i != j of the clipped negative inner products,
-    normalized by the total squared norm:
+def tau_eff(gram: np.ndarray) -> float:
+    """Aggregate conflict ratio of a gradient set, read off its Gram matrix
+    ``G @ G.T``: the clipped negative inner products over ordered pairs
+    i != j, normalized by the total squared norm,
 
         tau_eff = sum_{i != j} max(0, -<g_i, g_j>) / sum_k ||g_k||^2.
 
-    ``gram`` is the set's Gram matrix ``G @ G.T`` when the caller already
-    has it; ``gradients`` is then not read.  An all-zero set has no conflict
-    and returns 0.
+    An empty or all-zero set has no conflict and returns 0.
     """
-    if gram is None:
-        G = np.asarray(gradients, dtype=np.float64)
-        if G.ndim == 1:
-            G = G[None, :]
-        gram = G @ G.T
     denom = float(np.trace(gram))
     if denom == 0.0:
         return 0.0
@@ -197,13 +187,38 @@ def tau_eff(
     return float(-np.minimum(gram, 0.0).sum() / denom)
 
 
-def is_tau_compatible(gradients: list[np.ndarray] | np.ndarray, tau: float) -> bool:
-    """True when every pair satisfies <g_i, g_j> >= -tau * ||g_i|| * ||g_j||."""
-    G = np.asarray(gradients, dtype=np.float64)
-    if G.ndim == 1 or G.shape[0] < 2:
-        return True
+@dataclass(frozen=True)
+class DescentCheck:
+    lhs: float
+    rhs_worstcase: float
+    rhs_data_dependent: float
+    tau_eff: float
+    compatible: bool
+    ok: bool
+
+
+def descent_check(G, tau: float) -> DescentCheck:
+    """Compare ||sum g||^2 against both descent lower bounds of the rows of
+    ``G`` (n, d), read off one Gram matrix.
+
+    The set is tau-compatible when every pair has <g_i, g_j> >= -tau *
+    ||g_i|| * ||g_j||, up to an absolute 1e-12.  The worst-case bound (1 - tau(n-1)) sum ||g||^2
+    applies only to a compatible set; the data-dependent bound (1 - tau_eff)
+    sum ||g||^2 applies always.  An empty set passes with all zeros.
+    """
+    G = np.asarray(G, dtype=np.float64)
+    if len(G) == 0:
+        return DescentCheck(0.0, 0.0, 0.0, 0.0, True, True)
+    total = G.sum(axis=0)
+    lhs = float(total @ total)
     gram = G @ G.T
+    sq = float(np.trace(gram))
     norms = np.sqrt(np.diag(gram))
-    bound = -tau * np.outer(norms, norms)
-    off_mask = ~np.eye(G.shape[0], dtype=bool)
-    return bool(np.all(gram[off_mask] >= bound[off_mask] - 1e-12))
+    # the diagonal is (1 + tau) ||g||^2 >= 0, so it needs no mask
+    compatible = bool((gram + tau * np.outer(norms, norms)).min() >= -1e-12)
+    conflict = tau_eff(gram)
+    rhs_wc = (1.0 - tau * (len(G) - 1)) * sq
+    rhs_dd = (1.0 - conflict) * sq
+    slack = 1e-9 * max(sq, 1.0)
+    ok = lhs >= rhs_dd - slack and (not compatible or lhs >= rhs_wc - slack)
+    return DescentCheck(lhs, rhs_wc, rhs_dd, conflict, compatible, ok)

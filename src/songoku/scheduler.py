@@ -241,7 +241,7 @@ def _check_descent(A: np.ndarray, sq_total: float, t: int) -> None:
     sum ||g||^2, with sum ||g||^2 and tau_eff read off one Gram matrix."""
     gram = A @ A.T
     sq = float(np.trace(gram))
-    rhs = (1.0 - tau_eff(A, gram=gram)) * sq
+    rhs = (1.0 - tau_eff(gram)) * sq
     if sq_total < rhs - 1e-9 * max(sq, 1.0):
         raise RuntimeError(
             f"aggregate descent bound violated at step {t}: |sum|^2={sq_total} < {rhs}"

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .conflict_graph import ConflictGraph, build_graph
-from .grad_stats import cosine_rho, is_tau_compatible, row_interference, tau_eff
+from .grad_stats import cosine_rho, row_interference
 
 # Calibrated once on the reference recovery configuration (K=8, d=8, two
 # groups, tau=0.5, gamma=0.3, sigma=1, m0=1): the smallest half-integer
@@ -455,42 +455,6 @@ def reference_block_diagonal_instance() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Descent checks
-
-
-@dataclass(frozen=True)
-class DescentCheck:
-    lhs: float
-    rhs_worstcase: float
-    rhs_data_dependent: float
-    compatible: bool
-    ok: bool
-
-
-def descent_check(gradients, tau: float) -> DescentCheck:
-    """Compare ||sum g||^2 against both descent lower bounds.
-
-    The worst-case bound (1 - tau(|S|-1)) sum ||g||^2 applies only when the
-    set is verified tau-compatible; the data-dependent bound applies always.
-    """
-    gs = [np.asarray(g, dtype=np.float64) for g in gradients]
-    if not gs:
-        return DescentCheck(0.0, 0.0, 0.0, True, True)
-    total = np.zeros_like(gs[0])
-    sq = 0.0
-    for g in gs:
-        total += g
-        sq += float(g @ g)
-    lhs = float(total @ total)
-    compatible = is_tau_compatible(gs, tau)
-    rhs_wc = (1.0 - tau * (len(gs) - 1)) * sq
-    rhs_dd = (1.0 - tau_eff(gs)) * sq
-    slack = 1e-9 * max(sq, 1.0)
-    ok = lhs >= rhs_dd - slack and (not compatible or lhs >= rhs_wc - slack)
-    return DescentCheck(lhs, rhs_wc, rhs_dd, compatible, ok)
-
-
-# ---------------------------------------------------------------------------
 # Flat-minimum convergence testbed
 
 
@@ -521,9 +485,6 @@ class PowerWellMTL:
 
     def task_gradient(self, k: int, theta: np.ndarray) -> np.ndarray:
         return self.weights[k] * theta ** (self.power - 1)
-
-    def full_gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.weights.sum() * theta ** (self.power - 1)
 
     def total_loss(self, theta: np.ndarray) -> float:
         return float(self.weights.sum() / self.power * np.sum(theta**self.power))

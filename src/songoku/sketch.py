@@ -1,14 +1,19 @@
 """Cost reducers for interference-matrix construction.
 
-Four alternatives to the dense K x K x d Gram computation, each verified
-against the dense path (exactly or within a certified margin):
+Four alternatives to the dense K x K x d Gram computation:
 
-* ``jl_project`` — random projection of the task rows to r dims.
+* ``jl_project`` — random projection of the task rows to r dims.  The jl
+  builder takes r from ``SketchConfig.r`` and ignores ``epsilon``
+  (``sketch_epsilon``); its graph is not verified against the dense path.
 * ``FrequentDirections`` — deterministic column-stream sketch whose
   ``B^T B`` approximates the task Gram with a one-sided spectral error.
+  ``fd_cosine_bounds`` turns that error into per-pair cosine bounds, but no
+  builder calls it: the fd builder thresholds the sketched cosines as they
+  are.
 * ``edge_sample_graph`` — evaluate a budgeted subset of pairs exactly and
   infer the rest from cluster structure, flagging uncertified pairs.
-* ``incremental_gram`` — recompute only drifted rows of a cached Gram.
+* ``incremental_gram`` — recompute only drifted rows of a cached Gram; the
+  result is exact.
 
 Every operation can charge an explicit flop counter so the bench harness can
 verify the advertised cost scalings.
@@ -76,14 +81,11 @@ def jl_project(
     M: np.ndarray,
     r: int,
     seed: int,
-    identity: bool = False,
     counter: FlopCounter | None = None,
 ) -> np.ndarray:
     """Project rows of M to r dimensions with a seeded Gaussian map.
 
     Entries are N(0, 1)/sqrt(r), preserving squared norms in expectation.
-    ``identity=True`` is a test mode that requires r == d and applies the
-    identity embedding (cosines preserved exactly).
     """
     M = np.asarray(M, dtype=np.float64)
     K, d = M.shape
@@ -91,10 +93,6 @@ def jl_project(
         raise ValueError(f"r={r} exceeds input dimension d={d}")
     if r < 1:
         raise ValueError(f"r={r} must be >= 1")
-    if identity:
-        if r != d:
-            raise ValueError(f"identity mode needs r == d, got r={r}, d={d}")
-        return M.copy()
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((d, r)) / math.sqrt(r)
     if counter is not None:
@@ -219,10 +217,6 @@ class SampledGraph:
     graph: ConflictGraph
     evaluated: frozenset      # directly evaluated (certified) pairs
     uncertified: tuple        # pairs filled in by cluster inference or default
-
-    @property
-    def fully_certified(self) -> bool:
-        return not self.uncertified
 
 
 class _UnionFind:

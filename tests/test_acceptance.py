@@ -10,23 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import chromatic_number, random_graph
+from conftest import acceptance_panel, chromatic_number, random_graph
 from songoku.bench import BenchConfig, run_bench
-from songoku.combinators import CombinatorConfig
 from songoku.config import parse_config
 from songoku.conflict_graph import is_proper, max_degree, welsh_powell
 from songoku.experiments import run_experiment, window_step_ranges
-from songoku.grad_stats import beta_for_effective_sample_size, tau_eff
+from songoku.grad_stats import beta_for_effective_sample_size, descent_check
 from songoku.records import tasks_from_mask
-from songoku.scheduler import SchedulerConfig, run
+from songoku.scheduler import run
 from songoku.sim import (
-    DriftingOracle,
-    DriftingSuite,
-    PlantedOracle,
     aggregated_step,
     convergence_experiment,
     default_power_well,
-    descent_check,
     make_planted_suite,
     recovery_rate,
     reference_block_diagonal_instance,
@@ -37,14 +32,12 @@ from songoku.sim import (
     true_graph,
 )
 from songoku.sketch import (
-    SketchConfig,
     build_gram_cache,
     edge_sample_graph,
     fd_cosine_bounds,
     fd_task_gram,
     incremental_gram,
     jl_project,
-    make_graph_builder,
 )
 
 TAUS = (0.1, 0.3, 0.5)
@@ -60,16 +53,14 @@ def _compatible_set(rng: np.random.Generator, n: int, d: int, tau: float) -> np.
     always is).  The partial blends keep many pairs near the boundary.
     """
     g = rng.standard_normal((n, d)) * rng.uniform(0.2, 3.0, size=(n, 1))
-    from songoku.grad_stats import is_tau_compatible
-
-    if is_tau_compatible(g, tau):
+    if descent_check(g, tau).compatible:
         return g
     center = rng.standard_normal(d)
     center /= np.linalg.norm(center)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     for lam in (0.2, 0.4, 0.6, 0.8):
         blend = (1.0 - lam) * g + lam * norms * center
-        if is_tau_compatible(blend, tau):
+        if descent_check(blend, tau).compatible:
             return blend
     return norms * center
 
@@ -126,7 +117,7 @@ def test_criterion_02_assumption_free_bound_on_arbitrary_sets():
         total_sq = float(np.sum(g * g))
         if ck.lhs < ck.rhs_data_dependent - 1e-9 * max(total_sq, 1.0):
             violations += 1
-        if ck.compatible and tau_eff(g) > tau * (n - 1) + 1e-12:
+        if ck.compatible and ck.tau_eff > tau * (n - 1) + 1e-12:
             cap_violations += 1
     elapsed = time.perf_counter() - start
     assert violations == 0
@@ -314,57 +305,11 @@ def _audit_run(record, T_warm: int) -> None:
 
 
 def test_criterion_08_scheduler_behavioral_audit():
-    suite = make_planted_suite(
-        K=8, d=16, groups=2, tau=0.5, gamma=0.3, sigma=0.5, m0=1.0, seed=11
-    )
-    suite3 = make_planted_suite(
-        K=6, d=12, groups=3, tau=0.4, gamma=0.09, sigma=0.3, m0=1.0, seed=12
-    )
-    drift = DriftingSuite(
-        base=make_planted_suite(
-            K=8, d=8, groups=2, tau=0.5, gamma=0.3, sigma=0.0, m0=1.0, seed=13
-        ),
-        flip_task=3,
-        flip_time=128,
-    )
-    panel = [
-        (
-            SchedulerConfig(K=8, d=16, T=160, R=16, beta=0.9, tau_star=0.5,
-                            T_warm=24, eta=0.05, seed=11),
-            PlantedOracle(suite),
-            None,
-            None,
-        ),
-        (
-            SchedulerConfig(K=6, d=12, T=128, R=16, beta=0.9, tau_star=0.4,
-                            f_min=2, eta=0.05, seed=12),
-            PlantedOracle(suite3),
-            CombinatorConfig(mode="project_and_scale"),
-            None,
-        ),
-        (
-            SchedulerConfig(K=8, d=8, T=256, R=32, beta=0.9, tau_star=0.5,
-                            eta=0.05, seed=13),
-            DriftingOracle(drift),
-            None,
-            None,
-        ),
-        (
-            SchedulerConfig(K=8, d=16, T=128, R=16, beta=0.9, tau_star=0.5,
-                            permute_classes=True, eta=0.05, seed=5),
-            PlantedOracle(suite),
-            None,
-            make_graph_builder(SketchConfig(mode="incremental"), seed=5),
-        ),
-    ]
-    for cfg, oracle, comb, builder in panel:
-        record = run(cfg, oracle, combinators=comb, graph_builder=builder)
+    for cfg, oracle, comb, make_builder in acceptance_panel():
+        record = run(cfg, oracle, combinators=comb, graph_builder=make_builder())
         _audit_run(record, cfg.T_warm)
         # bit-identical reproduction under the same seed
-        builder2 = None
-        if builder is not None:
-            builder2 = make_graph_builder(SketchConfig(mode="incremental"), seed=5)
-        repeat = run(cfg, oracle, combinators=comb, graph_builder=builder2)
+        repeat = run(cfg, oracle, combinators=comb, graph_builder=make_builder())
         assert record.to_csv() == repeat.to_csv()
         assert record.content_hash() == repeat.content_hash()
 

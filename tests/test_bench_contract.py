@@ -45,6 +45,13 @@ def test_a_traced_run_records_one_update_span_per_step():
     assert calls["scheduler.run"] == 1
 
 
+def test_a_traced_run_records_one_descent_span_per_step():
+    # the step's descent check reads tau_eff through the module global
+    # `scheduler.tau_eff`, which the tracer wraps as `grad_stats.tau_eff`
+    T = 24
+    assert traced_calls(T)["grad_stats.tau_eff"] == T
+
+
 def test_a_traced_run_records_one_span_per_combinator_per_step():
     # each combinator takes the step's whole block: one call per step, not
     # one per active task

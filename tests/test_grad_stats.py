@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from songoku.grad_stats import (
+    DescentCheck,
     GradStats,
     beta_for_effective_sample_size,
+    descent_check,
     effective_sample_size,
-    is_tau_compatible,
     row_interference,
     tau_eff,
     update_ema,
 )
+
+
+def gram(rows) -> np.ndarray:
+    G = np.asarray(rows, dtype=np.float64)
+    return G @ G.T
 
 
 class TestGradStats:
@@ -170,16 +176,15 @@ class TestInterferenceMatrix:
 
 class TestTauEff:
     def test_zero_for_aligned(self):
-        assert tau_eff([np.array([1.0, 0.0]), np.array([2.0, 0.0])]) == 0.0
+        assert tau_eff(gram([[1.0, 0.0], [2.0, 0.0]])) == 0.0
 
     def test_opposing_unit_pair(self):
-        g = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
         # both ordered pairs contribute 1; total squared norm is 2
-        assert tau_eff(g) == pytest.approx(1.0)
+        assert tau_eff(gram([[1.0, 0.0], [-1.0, 0.0]])) == pytest.approx(1.0)
 
     def test_empty_and_zero_sets(self):
-        assert tau_eff(np.zeros((0, 3))) == 0.0
-        assert tau_eff(np.zeros((3, 3))) == 0.0
+        assert tau_eff(gram(np.zeros((0, 3)))) == 0.0
+        assert tau_eff(gram(np.zeros((3, 3)))) == 0.0
 
     @given(
         hnp.arrays(
@@ -194,25 +199,124 @@ class TestTauEff:
         # when no pair has positive alignment
         total_sq = float(np.sum(G * G))
         lhs = float(np.linalg.norm(G.sum(axis=0)) ** 2)
-        rhs = (1.0 - tau_eff(G)) * total_sq
+        rhs = (1.0 - tau_eff(G @ G.T)) * total_sq
         assert lhs >= rhs - 1e-9 * max(total_sq, 1.0)
 
 
-class TestCompatibility:
-    def test_singleton_always_compatible(self):
-        assert is_tau_compatible([np.array([1.0, 0.0])], tau=0.01)
+def reference_descent_check(gradients, tau: float) -> DescentCheck:
+    """The list-loop descent check that ``descent_check`` replaced: a running
+    sum and one dot per row, and a pair test on the off-diagonal entries
+    only."""
+    gs = [np.asarray(g, dtype=np.float64) for g in gradients]
+    if not gs:
+        return DescentCheck(0.0, 0.0, 0.0, 0.0, True, True)
+    total = np.zeros_like(gs[0])
+    sq = 0.0
+    for g in gs:
+        total += g
+        sq += float(g @ g)
+    lhs = float(total @ total)
+    G = np.asarray(gs)
+    pairs = G @ G.T
+    norms = np.sqrt(np.diag(pairs))
+    bound = -tau * np.outer(norms, norms)
+    off = ~np.eye(len(gs), dtype=bool)
+    compatible = bool(np.all(pairs[off] >= bound[off] - 1e-12))
+    denom = float(np.trace(pairs))
+    conflict = 0.0 if denom == 0.0 else float(-np.minimum(pairs, 0.0).sum() / denom)
+    rhs_wc = (1.0 - tau * (len(gs) - 1)) * sq
+    rhs_dd = (1.0 - conflict) * sq
+    slack = 1e-9 * max(sq, 1.0)
+    ok = lhs >= rhs_dd - slack and (not compatible or lhs >= rhs_wc - slack)
+    return DescentCheck(lhs, rhs_wc, rhs_dd, conflict, compatible, ok)
+
+
+# Pythagorean triples (a, b, c): the rows c*e_0 and (-a, b) have cosine -a/c
+# with exact norms, so tau = a/c puts the pair on the compatibility boundary
+TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))
+ELEMENT = st.one_of(st.just(0.0), st.floats(-3, 3).filter(lambda x: abs(x) > 1e-3))
+
+
+@st.composite
+def gradient_sets(draw):
+    """(G, tau): a random (n, d) set, reshaped into one of the shapes that
+    stress the pair test: zero rows, an antipodal bundle, duplicate rows, or
+    a pair whose cosine is exactly -tau."""
+    kind = draw(st.sampled_from(("plain", "zero", "antipodal", "duplicate", "boundary")))
+    n = draw(st.integers(2 if kind == "boundary" else 0, 6))
+    d = draw(st.integers(2 if kind == "boundary" else 1, 8))
+    G = draw(hnp.arrays(np.float64, (n, d), elements=ELEMENT))
+    tau = draw(st.floats(0.0, 1.0))
+    if kind == "zero" and n:
+        G[draw(st.integers(0, n - 1))] = 0.0
+    elif kind == "antipodal" and n:
+        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        jitter = draw(st.sampled_from((0.0, 1e-9, 0.01)))
+        G = signs[:, None] * G[:1] + jitter * G
+    elif kind == "duplicate" and n:
+        G[draw(st.integers(0, n - 1)):] = G[0]
+    elif kind == "boundary":
+        a, b, c = draw(st.sampled_from(TRIPLES))
+        i, j = draw(st.permutations(range(d)))[:2]
+        scale = 2.0 ** draw(st.integers(-4, 4))
+        G[0] = 0.0
+        G[0, i] = c * scale
+        G[1] = 0.0
+        G[1, i], G[1, j] = -a, b
+        tau = a / c
+    return G, tau
+
+
+class TestDescentCheck:
+    def test_compatible_set_gets_worstcase_bound(self):
+        g = [np.array([1.0, 0.0]), np.array([0.9, 0.1])]
+        out = descent_check(g, tau=0.3)
+        assert out.compatible and out.ok
+        total_sq = sum(float(x @ x) for x in g)
+        assert out.rhs_worstcase == pytest.approx((1 - 0.3 * 1) * total_sq)
+
+    def test_incompatible_set_flagged(self):
+        g = [np.array([1.0, 0.0]), np.array([-1.0, 0.05])]
+        out = descent_check(g, tau=0.2)
+        assert not out.compatible
+        assert out.ok  # data-dependent bound still holds
+
+    def test_empty_set_passes_with_zeros(self):
+        assert descent_check(np.zeros((0, 3)), 0.3) == DescentCheck(
+            0.0, 0.0, 0.0, 0.0, True, True
+        )
+
+    @given(st.integers(0, 2000), st.integers(2, 6), st.floats(0.1, 0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_hold_on_random_sets(self, seed, n, tau):
+        G = np.random.default_rng(seed).standard_normal((n, 8))
+        out = descent_check(list(G), tau)
+        assert out.ok
+        assert out.lhs >= out.rhs_data_dependent - 1e-9 * max(out.lhs, 1.0)
+
+    @given(gradient_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_list_loop_reference(self, case):
+        G, tau = case
+        got = descent_check(G, tau)
+        want = reference_descent_check(list(G), tau)
+        assert got.compatible == want.compatible
+        assert got.ok == want.ok
+        assert got.lhs == want.lhs
+        assert got.tau_eff == want.tau_eff
+        # sum ||g||^2 is the Gram's trace here and a sum of row dots there
+        assert math.isclose(got.rhs_worstcase, want.rhs_worstcase, rel_tol=1e-12)
+        assert math.isclose(got.rhs_data_dependent, want.rhs_data_dependent, rel_tol=1e-12)
+        # a compatible set caps the conflict ratio at tau * (n - 1), up to
+        # the pair test's absolute tolerance of 1e-12 per ordered pair
+        n, sq = len(G), float(np.sum(G * G))
+        if got.compatible and n > 1:
+            assert got.tau_eff * sq <= (tau * (n - 1) + 1e-9) * sq + n * (n - 1) * 1e-12
 
     def test_boundary_pair(self):
         g = [np.array([1.0, 0.0]), np.array([-0.5, math.sqrt(3) / 2])]
         # cosine is exactly -0.5: compatible at tau = 0.5, not at 0.49
-        assert is_tau_compatible(g, tau=0.5)
-        assert not is_tau_compatible(g, tau=0.49)
-
-    @given(st.floats(0.05, 0.95), st.integers(2, 5))
-    @settings(max_examples=60)
-    def test_compatible_sets_satisfy_tau_eff_cap(self, tau, n):
-        rng = np.random.default_rng(abs(hash((round(tau, 6), n))) % 2**32)
-        for _ in range(20):
-            G = rng.standard_normal((n, 6))
-            if is_tau_compatible(G, tau):
-                assert tau_eff(G) <= tau * (n - 1) + 1e-9
+        assert descent_check(g, tau=0.5).compatible
+        assert not descent_check(g, tau=0.49).compatible
+        for tau in (0.5, 0.49, 0.01):
+            assert descent_check(g[:1], tau).compatible

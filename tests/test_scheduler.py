@@ -324,7 +324,8 @@ def reference_run(cfg, oracle, combinators=None, graph_builder=None):
         for g in applied:
             total += g
             sq += float(g @ g)
-        assert float(total @ total) >= (1.0 - tau_eff(applied)) * sq - 1e-9 * max(sq, 1.0)
+        A = np.asarray(applied)
+        assert float(total @ total) >= (1.0 - tau_eff(A @ A.T)) * sq - 1e-9 * max(sq, 1.0)
         state.theta -= eta * total
         for k in tasks:
             update_ema(state.stats, k, grads[k])

@@ -21,7 +21,6 @@ from songoku.sim import (
     audit_margins,
     convergence_experiment,
     default_power_well,
-    descent_check,
     make_planted_suite,
     recovery_rate,
     reference_block_diagonal_instance,
@@ -241,38 +240,12 @@ class TestQuadratics:
         assert not np.allclose(g2_before, g2_after)
 
 
-class TestDescentCheck:
-    def test_compatible_set_gets_worstcase_bound(self):
-        g = [np.array([1.0, 0.0]), np.array([0.9, 0.1])]
-        out = descent_check(g, tau=0.3)
-        assert out.compatible and out.ok
-        total_sq = sum(float(x @ x) for x in g)
-        assert out.rhs_worstcase == pytest.approx((1 - 0.3 * 1) * total_sq)
-
-    def test_incompatible_set_flagged(self):
-        g = [np.array([1.0, 0.0]), np.array([-1.0, 0.05])]
-        out = descent_check(g, tau=0.2)
-        assert not out.compatible
-        assert out.ok  # data-dependent bound still holds
-
-    @given(st.integers(0, 2000), st.integers(2, 6), st.floats(0.1, 0.5))
-    @settings(max_examples=100, deadline=None)
-    def test_bounds_hold_on_random_sets(self, seed, n, tau):
-        G = np.random.default_rng(seed).standard_normal((n, 8))
-        out = descent_check(list(G), tau)
-        assert out.ok
-        assert out.lhs >= out.rhs_data_dependent - 1e-9 * max(out.lhs, 1.0)
-
-
 class TestPowerWell:
     def test_gradients_and_loss(self):
         well = PowerWellMTL(weights=np.array([2.0, 1.0]), d=3, power=4)
         theta = np.full(3, 0.5)
         np.testing.assert_allclose(
             well.task_gradient(0, theta), 2.0 * 0.5**3 * np.ones(3)
-        )
-        np.testing.assert_allclose(
-            well.full_gradient(theta), 3.0 * 0.5**3 * np.ones(3)
         )
         assert well.total_loss(theta) == pytest.approx((3.0 / 4) * 3 * 0.5**4)
 

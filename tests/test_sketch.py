@@ -47,13 +47,6 @@ class TestSketchConfig:
 
 
 class TestJL:
-    def test_identity_mode_exact(self):
-        M = np.arange(12.0).reshape(3, 4)
-        out = jl_project(M, 4, seed=0, identity=True)
-        np.testing.assert_array_equal(out, M)
-        with pytest.raises(ValueError, match="identity"):
-            jl_project(M, 3, seed=0, identity=True)
-
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="exceeds"):
             jl_project(np.zeros((2, 4)), 5, seed=0)
@@ -173,7 +166,7 @@ class TestEdgeSampling:
         rho = planted_rho(3, [(0, 1), (2,)])
         out = edge_sample_graph(rho, 3, tau=0.5, gamma=0.3, seed=0)
         assert out.graph.edges == {(0, 2), (1, 2)}
-        assert out.fully_certified
+        assert not out.uncertified
         assert out.evaluated == {(0, 1), (0, 2), (1, 2)}
 
     def test_budget_floor(self):
