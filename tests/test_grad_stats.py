@@ -313,10 +313,14 @@ class TestDescentCheck:
         if got.compatible and n > 1:
             assert got.tau_eff * sq <= (tau * (n - 1) + 1e-9) * sq + n * (n - 1) * 1e-12
 
+
+class TestCompatibility:
+    def test_singleton_always_compatible(self):
+        for tau in (0.5, 0.49, 0.01):
+            assert descent_check([np.array([1.0, 0.0])], tau).compatible
+
     def test_boundary_pair(self):
         g = [np.array([1.0, 0.0]), np.array([-0.5, math.sqrt(3) / 2])]
         # cosine is exactly -0.5: compatible at tau = 0.5, not at 0.49
         assert descent_check(g, tau=0.5).compatible
         assert not descent_check(g, tau=0.49).compatible
-        for tau in (0.5, 0.49, 0.01):
-            assert descent_check(g[:1], tau).compatible
