@@ -104,6 +104,13 @@ def _combinators(cfg: dict) -> CombinatorConfig | None:
     )
 
 
+def _planted_suite(cfg: dict, **overrides):
+    """The config's planted suite; ``overrides`` replace its keyword arguments."""
+    kw = dict(K=cfg["K"], d=cfg["d"], groups=cfg["groups"], tau=cfg["tau_star"],
+              gamma=cfg["gamma"], sigma=cfg["sigma"], m0=cfg["m0"], seed=cfg["seed"])
+    return make_planted_suite(**dict(kw, **overrides))
+
+
 def _builder(cfg: dict, counter: FlopCounter):
     scfg = SketchConfig(
         mode=cfg["sketch_mode"],
@@ -122,10 +129,7 @@ def _builder(cfg: dict, counter: FlopCounter):
 
 
 def _recovery_curve(cfg: dict, out_dir: str) -> dict:
-    suite = make_planted_suite(
-        K=cfg["K"], d=cfg["d"], groups=cfg["groups"], tau=cfg["tau_star"],
-        gamma=cfg["gamma"], sigma=cfg["sigma"], m0=cfg["m0"], seed=cfg["seed"],
-    )
+    suite = _planted_suite(cfg)
     req = required_effective_sample_size(suite, delta=cfg["delta"])
     targets = [max(1.0, req * f) for f in (0.01, 0.05, 0.2, 1.0, 4.0)]
     lines = ["# recovery_curve v1", "n_eff,beta,R,trials,successes,rate,ci_low,ci_high"]
@@ -214,10 +218,7 @@ def _convergence(cfg: dict, out_dir: str) -> dict:
 
 
 def _drifting_world(cfg: dict) -> tuple:
-    base = make_planted_suite(
-        K=cfg["K"], d=cfg["d"], groups=2, tau=cfg["tau_star"],
-        gamma=cfg["gamma"], sigma=0.0, m0=cfg["m0"], seed=cfg["seed"],
-    )
+    base = _planted_suite(cfg, groups=2, sigma=0.0)
     flip_time = cfg["flip_time"]
     if flip_time is None:
         flip_time = (cfg["steps"] // 2 // cfg["R"]) * cfg["R"]
@@ -291,10 +292,7 @@ def window_recovery_fraction(windows, truth: ConflictGraph) -> float:
 
 
 def _ablation_singlestep(cfg: dict, out_dir: str) -> dict:
-    suite = make_planted_suite(
-        K=cfg["K"], d=cfg["d"], groups=cfg["groups"], tau=cfg["tau_star"],
-        gamma=cfg["gamma"], sigma=cfg["sigma"], m0=cfg["m0"], seed=cfg["seed"],
-    )
+    suite = _planted_suite(cfg)
     truth = true_graph(suite)
     lines = ["# ablation_singlestep v1", "arm,r,t_start,tau,partition,matches_truth"]
     results = {}
@@ -386,10 +384,7 @@ def _activations(act: np.ndarray) -> tuple:
 
 
 def _staleness_audit(cfg: dict, out_dir: str) -> dict:
-    suite = make_planted_suite(
-        K=cfg["K"], d=cfg["d"], groups=cfg["groups"], tau=cfg["tau_star"],
-        gamma=cfg["gamma"], sigma=cfg["sigma"], m0=cfg["m0"], seed=cfg["seed"],
-    )
+    suite = _planted_suite(cfg)
     counter = FlopCounter()
     record = run(
         _scheduler_config(cfg),

@@ -201,10 +201,12 @@ def descent_check(G, tau: float) -> DescentCheck:
     """Compare ||sum g||^2 against both descent lower bounds of the rows of
     ``G`` (n, d), read off one Gram matrix.
 
-    The set is tau-compatible when every pair has <g_i, g_j> >= -tau *
-    ||g_i|| * ||g_j||, up to an absolute 1e-12.  The worst-case bound (1 - tau(n-1)) sum ||g||^2
-    applies only to a compatible set; the data-dependent bound (1 - tau_eff)
-    sum ||g||^2 applies always.  An empty set passes with all zeros.
+    The set is tau-compatible when every pair has <g_i, g_j> >= -(tau +
+    1e-12) ||g_i|| ||g_j||: the tolerance scales with the pair, so scaling
+    the set does not change the verdict.  The worst-case bound
+    (1 - tau(n-1)) sum ||g||^2 applies only to a compatible set; the
+    data-dependent bound (1 - tau_eff) sum ||g||^2 applies always.  An empty
+    set passes with all zeros.
     """
     G = np.asarray(G, dtype=np.float64)
     if len(G) == 0:
@@ -214,8 +216,8 @@ def descent_check(G, tau: float) -> DescentCheck:
     gram = G @ G.T
     sq = float(np.trace(gram))
     norms = np.sqrt(np.diag(gram))
-    # the diagonal is (1 + tau) ||g||^2 >= 0, so it needs no mask
-    compatible = bool((gram + tau * np.outer(norms, norms)).min() >= -1e-12)
+    # the diagonal is (1 + tau + 1e-12) ||g||^2 >= 0, so it needs no mask
+    compatible = bool((gram + (tau + 1e-12) * np.outer(norms, norms)).min() >= 0.0)
     conflict = tau_eff(gram)
     rhs_wc = (1.0 - tau * (len(G) - 1)) * sq
     rhs_dd = (1.0 - conflict) * sq

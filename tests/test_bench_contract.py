@@ -12,8 +12,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "schedule_bench")]
 
 import tracer  # noqa: E402
-from songoku import scheduler  # noqa: E402
+from songoku import scheduler, sketch  # noqa: E402
 from songoku.combinators import CombinatorConfig  # noqa: E402
+from songoku.grad_stats import GradStats  # noqa: E402
 from songoku.records import RunRecord  # noqa: E402
 from songoku.sim import PlantedOracle, make_planted_suite  # noqa: E402
 
@@ -59,3 +60,29 @@ def test_a_traced_run_records_one_span_per_combinator_per_step():
     calls = traced_calls(T, CombinatorConfig(mode="project_and_scale"))
     assert calls["combinators.project_within_group"] == T
     assert calls["combinators.adaptive_scale"] == T
+
+
+def test_a_traced_edge_sample_refresh_counts_its_evaluated_pairs(monkeypatch):
+    # the builder is made before the round, so it must look up
+    # `sketch.edge_sample_graph` at each call for the tracer's counting
+    # wrapper to see the pairs it evaluates
+    K = 16
+    suite = make_planted_suite(
+        K=K, d=8, groups=2, tau=0.5, gamma=0.3, sigma=0.0, m0=1.0, seed=0
+    )
+    stats = GradStats(ema=suite.mu.copy(), beta=0.9)
+    builder = sketch.make_graph_builder(sketch.SketchConfig(mode="edge_sample"), seed=0)
+    sampled = []
+    real = sketch.edge_sample_graph
+
+    def recording(*args, **kwargs):
+        sampled.append(real(*args, **kwargs))
+        return sampled[-1]
+
+    monkeypatch.setattr(sketch, "edge_sample_graph", recording)
+    trace = tracer.Tracer()
+    with trace.round():
+        builder(stats, 0.5, 1)
+    (out,) = sampled
+    assert 0 < len(out.evaluated) < K * (K - 1) // 2
+    assert trace.counts[0]["sketch.edge_sample.pairs_evaluated"] == len(out.evaluated)

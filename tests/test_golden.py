@@ -1,7 +1,7 @@
 """Seed-7 golden hashes of the staleness audit, the acceptance-08 panel and
 one ``steps_k40_d1024``-shaped run.
 
-``golden_seed7.json`` holds, for the dense and incremental estimators under
+``golden_seed7.json`` holds, for every estimator in ``SKETCH_MODES`` under
 each combinator mode, the sha256 of every file the audit writes and the two
 content hashes its summary reports.  For each run of the acceptance-08 panel
 and for a K=40, d=1024, T=1024 run on a 4-group planted pool it holds the
@@ -28,9 +28,9 @@ from songoku.config import parse_config
 from songoku.experiments import run_experiment
 from songoku.scheduler import SchedulerConfig, run
 from songoku.sim import make_planted_suite
+from songoku.sketch import SKETCH_MODES
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_seed7.json")
-SKETCH_MODES = ("dense", "incremental")
 FILES = ("run.csv", "run_record.csv", "summary.json")
 AUDIT = {
     "experiment": "staleness_audit", "seed": 7, "K": 24, "d": 64, "steps": 128,

@@ -204,9 +204,9 @@ class TestTauEff:
 
 
 def reference_descent_check(gradients, tau: float) -> DescentCheck:
-    """The list-loop descent check that ``descent_check`` replaced: a running
-    sum and one dot per row, and a pair test on the off-diagonal entries
-    only."""
+    """The list-loop form of ``descent_check``: a running sum and one dot per
+    row, and a pair test on the off-diagonal entries only, with a tolerance
+    of 1e-12 relative to each pair's norms."""
     gs = [np.asarray(g, dtype=np.float64) for g in gradients]
     if not gs:
         return DescentCheck(0.0, 0.0, 0.0, 0.0, True, True)
@@ -219,9 +219,9 @@ def reference_descent_check(gradients, tau: float) -> DescentCheck:
     G = np.asarray(gs)
     pairs = G @ G.T
     norms = np.sqrt(np.diag(pairs))
-    bound = -tau * np.outer(norms, norms)
+    bound = -(tau + 1e-12) * np.outer(norms, norms)
     off = ~np.eye(len(gs), dtype=bool)
-    compatible = bool(np.all(pairs[off] >= bound[off] - 1e-12))
+    compatible = bool(np.all(pairs[off] >= bound[off]))
     denom = float(np.trace(pairs))
     conflict = 0.0 if denom == 0.0 else float(-np.minimum(pairs, 0.0).sum() / denom)
     rhs_wc = (1.0 - tau * (len(gs) - 1)) * sq
@@ -308,10 +308,17 @@ class TestDescentCheck:
         assert math.isclose(got.rhs_worstcase, want.rhs_worstcase, rel_tol=1e-12)
         assert math.isclose(got.rhs_data_dependent, want.rhs_data_dependent, rel_tol=1e-12)
         # a compatible set caps the conflict ratio at tau * (n - 1), up to
-        # the pair test's absolute tolerance of 1e-12 per ordered pair
+        # the pair test's relative tolerance of 1e-12
         n, sq = len(G), float(np.sum(G * G))
         if got.compatible and n > 1:
-            assert got.tau_eff * sq <= (tau * (n - 1) + 1e-9) * sq + n * (n - 1) * 1e-12
+            assert got.tau_eff * sq <= ((tau + 1e-12) * (n - 1) + 1e-9) * sq
+
+    @given(gradient_sets(), st.sampled_from((-40, 40)))
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_does_not_depend_on_scale(self, case, power):
+        G, tau = case
+        # a power-of-two scale is exact in every product the check forms
+        assert descent_check(G * 2.0**power, tau).compatible == descent_check(G, tau).compatible
 
 
 class TestCompatibility:
@@ -324,3 +331,10 @@ class TestCompatibility:
         # cosine is exactly -0.5: compatible at tau = 0.5, not at 0.49
         assert descent_check(g, tau=0.5).compatible
         assert not descent_check(g, tau=0.49).compatible
+
+    def test_tiny_opposing_rows_are_not_compatible(self):
+        # the tolerance is relative: a tiny antipodal pair conflicts fully
+        e = np.array([1.0, 0.0])
+        out = descent_check([0.0 * e, 1e-9 * e, -1e-9 * e], tau=0.0)
+        assert out.tau_eff == 1.0
+        assert not out.compatible
