@@ -6,7 +6,6 @@ CSV artifact plus the config, so results are traceable to their inputs.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 
@@ -16,7 +15,7 @@ from .combinators import CombinatorConfig
 from .config import EXPERIMENTS
 from .conflict_graph import ConflictGraph
 from .grad_stats import beta_for_effective_sample_size
-from .records import RunRecord, activity, artifact_hash
+from .records import RunRecord, activity, artifact_hash, to_json
 from .scheduler import SchedulerConfig, run
 from .sim import (
     DriftingOracle,
@@ -64,7 +63,7 @@ def _write_summary(out_dir: str, name: str, cfg: dict, results: dict, csv_text: 
         "content_hash": artifact_hash(csv_text, cfg),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=str)
+        fh.write(to_json(summary))
     return summary
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -136,19 +137,86 @@ class RunRecord:
         }
 
     def to_summary_json(self) -> str:
-        return json.dumps(self.to_summary(), indent=2, sort_keys=True, default=str)
+        return to_json(self.to_summary())
+
+
+# json.dumps(x, default=str): json's own text for every scalar
+_scalar = json.JSONEncoder(default=str).encode
+
+
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=str)``, byte for
+    byte, raising the same exception type where json raises.
+
+    Any ``indent`` sends json to its pure-Python encoder.  This lays out the
+    dicts, lists and tuples itself and hands every scalar and every dict key
+    to json's C encoder.  A list of exact ints, or of equal-length lists of
+    exact ints (a window's edges), is filled into one ``%d`` template.
+    """
+    return _render(obj, 0, set())
+
+
+def _render(obj, depth: int, path: set) -> str:
+    """The text of ``obj`` opening at ``depth``; ``path`` holds the ids of
+    the containers above it, for json's circular-reference check."""
+    is_list = isinstance(obj, (list, tuple))
+    if not (is_list or isinstance(obj, dict)):
+        return _scalar(obj)
+    if is_list:
+        types = set(map(type, obj))
+        if types == {int}:
+            return _bracket(["%d"] * len(obj), depth, "[]") % tuple(obj)
+        if types <= {list, tuple} and len(lengths := set(map(len, obj))) == 1:
+            flat = tuple(chain.from_iterable(obj))
+            if set(map(type, flat)) <= {int}:
+                row = _bracket(["%d"] * lengths.pop(), depth + 1, "[]")
+                return _bracket([row] * len(obj), depth, "[]") % flat
+    if id(obj) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(obj))
+    if is_list:
+        text = _bracket([_render(x, depth + 1, path) for x in obj], depth, "[]")
+    else:
+        text = _bracket([_key(k) + ": " + _render(v, depth + 1, path)
+                         for k, v in sorted(obj.items())], depth, "{}")
+    path.discard(id(obj))
+    return text
+
+
+def _bracket(items: list, depth: int, brackets: str) -> str:
+    """The item texts ``items`` between ``brackets``, opening at ``depth``."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: converted to a string, then encoded."""
+    if isinstance(key, str):
+        return _scalar(key)
+    if key is None or isinstance(key, (int, float)):
+        return _scalar(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def parse_csv(text: str) -> list:
     """Inverse of :meth:`RunRecord.to_csv` (rows only, schema checked)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_SCHEMA:
-        raise ValueError(f"unrecognized CSV schema header: {lines[:1]}")
-    if lines[1] != CSV_COLUMNS:
-        raise ValueError(f"unexpected column header: {lines[1]!r}")
+    numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    header = [ln for _, ln in numbered[:2]]
+    if not header or header[0] != CSV_SCHEMA:
+        raise ValueError(f"unrecognized CSV schema header: {header[:1]}")
+    if len(header) < 2:
+        raise ValueError(f"missing column header {CSV_COLUMNS!r}")
+    if header[1] != CSV_COLUMNS:
+        raise ValueError(f"unexpected column header: {header[1]!r}")
+    width = CSV_COLUMNS.count(",") + 1
     rows = []
-    for ln in lines[2:]:
-        t, tau, m, mask, loss, gn, rf = ln.split(",")
+    for n, ln in numbered[2:]:
+        fields = ln.split(",")
+        if len(fields) != width:
+            raise ValueError(f"line {n}: {len(fields)} fields, expected {width}")
+        t, tau, m, mask, loss, gn, rf = fields
         rows.append(
             StepRow(
                 t=int(t),

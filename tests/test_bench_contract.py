@@ -86,3 +86,23 @@ def test_a_traced_edge_sample_refresh_counts_its_evaluated_pairs(monkeypatch):
     (out,) = sampled
     assert 0 < len(out.evaluated) < K * (K - 1) // 2
     assert trace.counts[0]["sketch.edge_sample.pairs_evaluated"] == len(out.evaluated)
+
+
+def test_a_traced_render_records_one_summary_span_over_the_hash():
+    # `records.to_summary_json.self_ms` times the whole render: the method
+    # itself, with the content hash of `to_summary` as its one child span
+    suite = make_planted_suite(
+        K=4, d=6, groups=2, tau=0.5, gamma=0.3, sigma=0.5, m0=1.0, seed=0
+    )
+    cfg = scheduler.SchedulerConfig(K=4, d=6, T=24, R=8, beta=0.8, seed=3)
+    record = scheduler.run(cfg, PlantedOracle(suite))
+    want = record.to_summary_json()
+    trace = tracer.Tracer()
+    with trace.round():
+        got = record.to_summary_json()
+    (spans,) = trace.rounds
+    (render,) = [i for i, span in enumerate(spans) if span[0] == "records.to_summary_json"]
+    children = [span[0] for span in spans if span[3] == render]
+    assert spans[render][3] == -1
+    assert children == ["records.content_hash"]
+    assert got == want

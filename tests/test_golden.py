@@ -1,12 +1,14 @@
-"""Seed-7 golden hashes of the staleness audit, the acceptance-08 panel and
-one ``steps_k40_d1024``-shaped run.
+"""Seed-7 golden hashes of the staleness audit, the other experiments, the
+acceptance-08 panel and one ``steps_k40_d1024``-shaped run.
 
 ``golden_seed7.json`` holds, for every estimator in ``SKETCH_MODES`` under
 each combinator mode, the sha256 of every file the audit writes and the two
-content hashes its summary reports.  For each run of the acceptance-08 panel
-and for a K=40, d=1024, T=1024 run on a 4-group planted pool it holds the
-sha256 of ``run.csv`` and of ``summary.json`` and the record's
-``content_hash``.  A change that keeps every artifact's bits passes
+content hashes its summary reports.  For every other experiment but ``bench``
+(which records timings) it holds the sha256 of ``run.csv`` and
+``summary.json`` at K=8, d=32, T=128, R=16.  For each run of the
+acceptance-08 panel and for a K=40, d=1024, T=1024 run on a 4-group planted
+pool it holds the sha256 of ``run.csv`` and of ``summary.json`` and the
+record's ``content_hash``.  A change that keeps every artifact's bits passes
 unchanged; a change that moves a bit fails here and has to name the move.
 The hashes were taken on the BLAS the file records.  Elsewhere a dot product
 may round differently, so on another BLAS the test is skipped.
@@ -37,6 +39,9 @@ AUDIT = {
     "R": 16, "f_min": 2, "beta": 0.9, "tau_star": 0.2, "gamma": 0.1,
     "sigma": 0.02, "m0": 1.0, "groups": 4,
 }
+EXPERIMENT = {"seed": 7, "K": 8, "d": 32, "steps": 128, "R": 16}
+EXPERIMENT_NAMES = ("recovery_curve", "sched_vs_agg", "convergence",
+                    "ablation_static", "ablation_singlestep")
 # the shape of schedule_bench's steps_k40_d1024 workload at seed 7: the
 # suite, the pool and the scheduler draw from seed + i * stride, i = 0, 1, 2
 STEPS = {
@@ -66,6 +71,15 @@ def audit_hashes(sketch_mode: str, combinator_mode: str, out_dir: str) -> dict:
     for name in FILES:
         with open(os.path.join(out_dir, name), "rb") as fh:
             hashes[name] = sha256(fh.read())
+    return hashes
+
+
+def experiment_hashes(name: str, out_dir: str) -> dict:
+    run_experiment(name, parse_config(None, dict(EXPERIMENT, experiment=name)), out_dir)
+    hashes = {}
+    for filename in ("run.csv", "summary.json"):
+        with open(os.path.join(out_dir, filename), "rb") as fh:
+            hashes[filename] = sha256(fh.read())
     return hashes
 
 
@@ -128,12 +142,19 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden["hashes"]) == sorted(f"{s}/{c}" for s, c in CASES)
     assert len(golden["panel"]) == len(acceptance_panel())
     assert golden["steps"]["params"] == STEPS
+    assert golden["experiments"]["params"] == EXPERIMENT
+    assert sorted(golden["experiments"]["hashes"]) == sorted(EXPERIMENT_NAMES)
 
 
 @pytest.mark.parametrize("sketch_mode,combinator_mode", CASES)
 def test_audit_artifacts_keep_their_bits(golden, tmp_path, sketch_mode, combinator_mode):
     got = audit_hashes(sketch_mode, combinator_mode, str(tmp_path))
     assert got == golden["hashes"][f"{sketch_mode}/{combinator_mode}"]
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_experiment_artifacts_keep_their_bits(golden, tmp_path, name):
+    assert experiment_hashes(name, str(tmp_path)) == golden["experiments"]["hashes"][name]
 
 
 def test_acceptance_panel_keeps_its_bits(golden):
@@ -153,6 +174,9 @@ if __name__ == "__main__":
             "audit": AUDIT,
             "hashes": {f"{s}/{c}": audit_hashes(s, c, os.path.join(tmp, f"{s}-{c}"))
                        for s, c in CASES},
+            "experiments": {"params": EXPERIMENT,
+                            "hashes": {name: experiment_hashes(name, os.path.join(tmp, name))
+                                       for name in EXPERIMENT_NAMES}},
             "panel": panel_hashes(),
             "steps": {"params": STEPS, "hashes": steps_hashes()},
         }

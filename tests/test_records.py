@@ -2,8 +2,9 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from songoku.records import (
@@ -15,6 +16,7 @@ from songoku.records import (
     active_mask,
     parse_csv,
     tasks_from_mask,
+    to_json,
 )
 
 
@@ -74,6 +76,15 @@ class TestCsv:
         with pytest.raises(ValueError, match="column"):
             parse_csv(CSV_SCHEMA + "\nt,tau\n")
 
+    def test_missing_column_header_rejected(self):
+        with pytest.raises(ValueError, match="missing column header"):
+            parse_csv(CSV_SCHEMA + "\n")
+
+    def test_row_with_wrong_field_count_names_its_line(self):
+        text = sample_record().to_csv() + "\n2,0.5,1,3\n"
+        with pytest.raises(ValueError, match="line 6: 4 fields, expected 7"):
+            parse_csv(text)
+
 
 class TestHashAndSummary:
     def test_hash_stable_and_config_sensitive(self):
@@ -128,3 +139,88 @@ class TestHashAndSummary:
         assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(
             ref, indent=2, sort_keys=True
         )
+
+
+# ---------------------------------------------------------------------------
+# to_json against json's own indent=2 encoder
+
+
+def assert_renders_like_json(obj):
+    try:
+        want = json.dumps(obj, indent=2, sort_keys=True, default=str)
+    except Exception as exc:                      # json's own error, compared below
+        with pytest.raises(Exception) as got:
+            to_json(obj)
+        assert type(got.value) is type(exc)
+    else:
+        assert to_json(obj) == want
+
+
+ints = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+strings = st.text() | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\n\t\x7f", "é漢字🙂", "\ud800"])
+scalars = st.one_of(
+    ints, st.booleans(), st.none(), floats, strings,
+    ints.filter(lambda x: abs(x) < 2**63).map(np.int64), floats.map(np.float64),
+)
+int_rows = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(ints, min_size=n, max_size=n) | st.tuples(*[ints] * n))
+)
+int_lists = st.one_of(
+    st.lists(ints), st.lists(ints).map(tuple), int_rows,
+    st.lists(st.lists(ints)),                            # ragged
+    st.lists(st.one_of(ints, st.booleans(), floats)),    # ints mixed with bools and floats
+    st.lists(st.lists(st.one_of(ints, st.booleans()), min_size=2, max_size=2)),
+)
+# one key type per dict (mixed str and int keys do not sort); numeric keys
+# of different types compare with each other
+key_types = (strings, ints, floats, st.booleans(), st.none(),
+             st.one_of(ints, floats, st.booleans()))
+documents = st.recursive(
+    scalars | int_lists,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *[st.dictionaries(k, children, max_size=4) for k in key_types],
+    ),
+    max_leaves=20,
+)
+
+
+@given(documents)
+@settings(max_examples=400, deadline=None)
+def test_to_json_matches_json_indent_2(obj):
+    assert_renders_like_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [], (), {}, [[]], [[], []], [[], [1]], [1, True], [True, 1], [[1, 2], [3, True]],
+    [[1, 2], (3, 4)], [(1,), [2]], [[1, 2], [3]], [1, 2.0], [np.int64(3), 4],
+    {"edges": [[0, 1], [0, 2]], "color_of": [1, 2, 2], "nested": {"x": [[]]}},
+    {1: "a", 2.5: "b", False: "c"}, {None: "d"}, {math.nan: 1}, {-0.0: 1, math.inf: 2},
+    {"a": {1: [1, {"b": ()}]}}, [10**40, -(10**40)], [[10**40, 1], [2, 3]],
+])
+def test_to_json_matches_json_on_edge_cases(obj):
+    assert_renders_like_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": 1, 2: 3}, {None: 1, "a": 2}, {(1, 2): 3}, {np.int64(1): 2}, [{"a": 1, 1.5: 2}],
+])
+def test_to_json_raises_type_error_where_json_does(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True, default=str)
+    with pytest.raises(TypeError):
+        to_json(obj)
+
+
+def test_to_json_raises_on_a_circular_container():
+    loop = [1]
+    loop.append(loop)
+    cycle = {"a": {}}
+    cycle["a"]["b"] = cycle
+    for obj in (loop, cycle, [[loop]]):
+        with pytest.raises(ValueError, match="Circular"):
+            json.dumps(obj, indent=2, sort_keys=True, default=str)
+        with pytest.raises(ValueError, match="Circular"):
+            to_json(obj)
