@@ -2,11 +2,12 @@
 
 A conflict graph connects tasks whose interference coefficient exceeds the
 threshold tau.  Coloring it groups mutually compatible tasks; the color
-classes then rotate as the cyclic training schedule.
+classes, plus the extra copies coverage places, then rotate as the cyclic
+training schedule (``records.WindowRecord``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -112,71 +113,41 @@ def welsh_powell(graph: ConflictGraph) -> Coloring:
     return Coloring(color_of=tuple(color.tolist()), m=m, classes=classes)
 
 
-@dataclass
-class AugmentedSchedule:
-    """Cyclic schedule: base classes plus duplicated under-covered tasks.
-
-    ``extra_slots[s]`` lists tasks duplicated into slot s (1-based).  A slot's
-    active set is its base class union its extras.  Tasks that could not reach
-    ``f_min`` appearances per period are recorded in ``coverage_failures``
-    rather than raising.
-    """
-
-    base_classes: tuple
-    f_min: int
-    extra_slots: dict = field(default_factory=dict)   # slot (1-based) -> sorted list of tasks
-    coverage_failures: tuple = ()
-
-    @property
-    def m(self) -> int:
-        return len(self.base_classes)
-
-    def slot_tasks(self, slot: int) -> list:
-        """All tasks active in 1-based slot, ascending order."""
-        base = list(self.base_classes[slot - 1])
-        base += self.extra_slots.get(slot, [])
-        return sorted(base)
-
-    def active_for_offset(self, offset: int) -> list:
-        return self.slot_tasks((offset % self.m) + 1)
-
-    def appearances(self, task: int) -> int:
-        return sum(1 for s in range(1, self.m + 1) if task in self.slot_tasks(s))
-
-
-def enforce_min_coverage(coloring: Coloring, graph: ConflictGraph, f_min: int) -> AugmentedSchedule:
+def enforce_min_coverage(coloring: Coloring, graph: ConflictGraph, f_min: int) -> tuple:
     """Duplicate under-covered tasks into compatible slots.
 
     Each task starts with one appearance per period (its own class).  Tasks
     needing more are processed in ascending index; slots are scanned in cyclic
     order 1..m and a slot accepts the task only when nothing already in it
     (base class or earlier extras) conflicts with the task.  Failure to reach
-    f_min is flagged, not raised.
+    f_min is flagged, not raised.  Returns ``(extra_slots, coverage_failures)``
+    as ``WindowRecord`` holds them: (1-based slot, ascending tasks) pairs for
+    the slots that took extras, by slot, and the failed tasks, ascending.
     """
     if f_min < 1:
         raise ValueError(f"f_min={f_min} must be >= 1")
-    sched = AugmentedSchedule(base_classes=coloring.classes, f_min=f_min)
-    if f_min == 1 or sched.m == 0:
-        return sched
+    if f_min == 1 or coloring.m == 0:
+        return (), ()
     adj = graph.adj
     # blocked[s - 1, v]: some task in slot s conflicts with v
     blocked = np.array([adj[list(cls)].any(axis=0) for cls in coloring.classes])
+    extras = [[] for _ in coloring.classes]
     failures = []
     for task in range(graph.n_vertices):
         count = 1  # own class
         own = coloring.color_of[task]
-        for slot in range(1, sched.m + 1):
+        for slot in range(1, coloring.m + 1):
             if count >= f_min:
                 break
             if slot == own or blocked[slot - 1, task]:
                 continue
-            sched.extra_slots.setdefault(slot, []).append(task)
+            extras[slot - 1].append(task)
             blocked[slot - 1] |= adj[task]
             count += 1
         if count < f_min:
             failures.append(task)
-    sched.coverage_failures = tuple(failures)
-    return sched
+    extra_slots = tuple((s, tuple(ts)) for s, ts in enumerate(extras, start=1) if ts)
+    return extra_slots, tuple(failures)
 
 
 def is_proper(coloring: Coloring, graph: ConflictGraph) -> bool:

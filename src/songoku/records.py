@@ -80,7 +80,10 @@ class StepRow:
 
 @dataclass(frozen=True)
 class WindowRecord:
-    """Snapshot of one refresh window's graph, coloring, and coverage."""
+    """One refresh window: its graph, coloring and coverage, which are the
+    schedule ``run`` serves from step ``t_start`` until the next window.  Step
+    t runs slot s = (t - t_start) % m + 1: ``classes[s - 1]`` plus slot s's
+    ``extra_slots`` tasks.  A frozen window keeps the schedule it froze."""
 
     r: int
     t_start: int

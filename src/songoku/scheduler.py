@@ -17,13 +17,12 @@ with ``ValueError`` naming the task and the step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .grad_stats import GradStats, row_interference, tau_eff, update_ema
 from .conflict_graph import (
-    AugmentedSchedule,
     Coloring,
     ConflictGraph,
     build_graph,
@@ -118,18 +117,28 @@ def dense_graph(stats: GradStats, tau: float) -> ConflictGraph:
 
 @dataclass
 class SchedulerState:
+    """What a run carries from step to step.  ``window`` is the schedule
+    being served, exactly as ``run`` records it: its index, first step,
+    threshold, classes, extra slots and whether its grouping is frozen."""
+
     cfg: SchedulerConfig
     stats: GradStats
     theta: np.ndarray
     rng: np.random.Generator
-    graph: ConflictGraph
-    coloring: Coloring
-    schedule: AugmentedSchedule
+    window: WindowRecord
     scale_ema: np.ndarray           # (K,) adaptive-scale norm EMAs, NaN until used
-    r: int = 0                      # window (round) index
-    t_r: int = 0                    # first step served by the current window
-    tau: float = 1.0                # threshold the current window was built with
-    frozen: bool = False
+
+
+def _window(r: int, t_start: int, tau: float, graph: ConflictGraph, coloring: Coloring,
+            f_min: int, frozen: bool) -> WindowRecord:
+    """The window that serves ``coloring``'s classes, with the extra copies
+    that bring tasks to ``f_min`` appearances, from step ``t_start`` on."""
+    extra_slots, failures = enforce_min_coverage(coloring, graph, f_min)
+    return WindowRecord(
+        r=r, t_start=t_start, tau=float(tau), m=coloring.m, edges=graph.sorted_edges,
+        color_of=coloring.color_of, classes=coloring.classes, extra_slots=extra_slots,
+        coverage_failures=failures, frozen=frozen,
+    )
 
 
 def init_state(cfg: SchedulerConfig, theta0: np.ndarray | None = None) -> SchedulerState:
@@ -137,7 +146,6 @@ def init_state(cfg: SchedulerConfig, theta0: np.ndarray | None = None) -> Schedu
     (no probes; statistics are empty)."""
     tau0 = anneal_tau(0, cfg)
     graph = ConflictGraph(np.zeros((cfg.K, cfg.K), dtype=bool), tau0)
-    coloring = welsh_powell(graph)
     theta = (
         np.zeros(cfg.d) if theta0 is None else np.array(theta0, dtype=np.float64)
     )
@@ -148,11 +156,8 @@ def init_state(cfg: SchedulerConfig, theta0: np.ndarray | None = None) -> Schedu
         stats=GradStats.zeros(cfg.K, cfg.d, cfg.beta, cfg.norm_floor),
         theta=theta,
         rng=np.random.default_rng(cfg.seed),
-        graph=graph,
-        coloring=coloring,
-        schedule=enforce_min_coverage(coloring, graph, cfg.f_min),
+        window=_window(0, 0, tau0, graph, welsh_powell(graph), cfg.f_min, False),
         scale_ema=np.full(cfg.K, np.nan),
-        tau=tau0,
     )
 
 
@@ -174,64 +179,56 @@ def _permuted(coloring: Coloring, rng: np.random.Generator) -> Coloring:
 
 
 def refresh(
-    state: SchedulerState,
-    probe_gradients,
-    tau: float,
-    graph_builder=None,
-    step: int | None = None,
+    state: SchedulerState, probe_gradients, tau: float, graph_builder=None, *, step: int
 ) -> SchedulerState:
-    """Fold probes into the statistics, rebuild graph/coloring, open a window.
+    """Fold probes into the statistics, rebuild graph/coloring, and open the
+    window that serves steps ``step`` onward.
 
     ``graph_builder(stats, tau, window)`` makes the graph; the default is
     ``dense_graph``.  ``probe_gradients`` must cover every task
     (index-addressable).  A probe of the wrong dimension or with a non-finite
-    entry raises ``ValueError`` naming the task, and ``step`` when given.
-    When the state is frozen (static-grouping ablation) the statistics still
-    advance but the existing schedule is retained.
+    entry raises ``ValueError`` naming the task and ``step``.  When the
+    window is frozen (static-grouping ablation) the statistics still advance
+    but the new window keeps its schedule.
     """
     K = state.cfg.K
     probes = _gradient_block(
         [probe_gradients[k] for k in range(K)], range(K), state.cfg.d, step, "probe gradient"
     )
     update_ema(state.stats, np.arange(K), probes)
-    if not state.frozen:
-        if graph_builder is None:
-            graph = dense_graph(state.stats, tau)
-        else:
-            graph = graph_builder(state.stats, tau, state.r + 1)
-        coloring = welsh_powell(graph)
-        if state.cfg.permute_classes and coloring.m > 1:
-            coloring = _permuted(coloring, state.rng)
-        state.graph = graph
-        state.coloring = coloring
-        state.schedule = enforce_min_coverage(coloring, graph, state.cfg.f_min)
-        if state.cfg.freeze_after_first_coloring and tau < 1.0:
-            state.frozen = True
-    state.r += 1
-    state.tau = tau
+    r = state.window.r + 1
+    if state.window.frozen:
+        state.window = replace(state.window, r=r, t_start=step, tau=float(tau))
+        return state
+    graph = graph_builder(state.stats, tau, r) if graph_builder else dense_graph(state.stats, tau)
+    coloring = welsh_powell(graph)
+    if state.cfg.permute_classes and coloring.m > 1:
+        coloring = _permuted(coloring, state.rng)
+    frozen = state.cfg.freeze_after_first_coloring and tau < 1.0
+    state.window = _window(r, step, tau, graph, coloring, state.cfg.f_min, frozen)
     return state
 
 
-def _slots(schedule: AugmentedSchedule) -> list:
+def _slots(window: WindowRecord) -> list:
     """Per slot of a window: its ascending tasks, their EMA rows and mask."""
-    slots = [tuple(schedule.slot_tasks(s)) for s in range(1, schedule.m + 1)]
+    extras = dict(window.extra_slots)
+    slots = [tuple(sorted(cls + extras.get(s, ()))) for s, cls in enumerate(window.classes, 1)]
     return [(ts, np.array(ts, dtype=np.intp), active_mask(ts)) for ts in slots]
 
 
-def _gradient_block(grads, tasks, d: int, step, kind: str = "gradient") -> np.ndarray:
+def _gradient_block(grads, tasks, d: int, step: int, kind: str = "gradient") -> np.ndarray:
     """``grads``, one per task of ``tasks``, as one (n, d) float64 block.  A
-    wrong dimension or a non-finite entry raises ValueError naming the task,
-    and the step unless it is None."""
-    at = "" if step is None else f" at step {step}"
+    wrong dimension or a non-finite entry raises ValueError naming the task
+    and the step."""
     for k, g in zip(tasks, grads):
         if np.shape(g) != (d,):
             raise ValueError(
-                f"{kind} for task {k}{at} has dimension {np.shape(g)}, expected ({d},)"
+                f"{kind} for task {k} at step {step} has dimension {np.shape(g)}, expected ({d},)"
             )
     G = np.asarray(grads, dtype=np.float64)
     if not np.isfinite(G).all():
         bad = tasks[int(np.flatnonzero(~np.isfinite(G).all(axis=1))[0])]
-        raise ValueError(f"non-finite {kind} for task {bad}{at}")
+        raise ValueError(f"non-finite {kind} for task {bad} at step {step}")
     return G
 
 
@@ -246,23 +243,6 @@ def _check_descent(A: np.ndarray, sq_total: float, t: int) -> None:
         raise RuntimeError(
             f"aggregate descent bound violated at step {t}: |sum|^2={sq_total} < {rhs}"
         )
-
-
-def _window_record(state: SchedulerState, t_start: int) -> WindowRecord:
-    return WindowRecord(
-        r=state.r,
-        t_start=t_start,
-        tau=float(state.tau),
-        m=state.schedule.m,
-        edges=state.graph.sorted_edges,
-        color_of=state.coloring.color_of,
-        classes=state.coloring.classes,
-        extra_slots=tuple(
-            (s, tuple(ts)) for s, ts in sorted(state.schedule.extra_slots.items())
-        ),
-        coverage_failures=state.schedule.coverage_failures,
-        frozen=state.frozen,
-    )
 
 
 def run(
@@ -284,16 +264,16 @@ def run(
         return record
     theta0 = oracle.init_theta() if hasattr(oracle, "init_theta") else None
     state = init_state(cfg, theta0)
-    record.windows.append(_window_record(state, t_start=0))
+    record.windows.append(state.window)
     eta = cfg.step_size()
     clock = getattr(oracle, "set_time", None)
-    slots = _slots(state.schedule)
+    slots = _slots(state.window)
     for t in range(cfg.T):
         if clock is not None:
             clock(t)
         tau_t = anneal_tau(t, cfg)
-        m_t = state.schedule.m
-        tasks, rows, mask = slots[(t - state.t_r) % m_t]
+        m_t = state.window.m
+        tasks, rows, mask = slots[(t - state.window.t_start) % m_t]
         G = _gradient_block(
             [oracle.gradient(k, state.theta, state.rng) for k in tasks], tasks, cfg.d, t
         )
@@ -312,9 +292,8 @@ def run(
                 clock(t + 1)
             probes = [oracle.gradient(k, state.theta, state.rng) for k in range(cfg.K)]
             refresh(state, probes, anneal_tau(t, cfg), graph_builder, step=t + 1)
-            slots = _slots(state.schedule)
-            state.t_r = t + 1
-            record.windows.append(_window_record(state, t_start=t + 1))
+            slots = _slots(state.window)
+            record.windows.append(state.window)
         record.steps.append(
             StepRow(
                 t=t,

@@ -562,11 +562,16 @@ class DriftingSuite:
     flip_task: int
     flip_time: int
 
-    def mu_at(self, t: int) -> np.ndarray:
+    @cached_property
+    def mu_after(self) -> np.ndarray:
+        """The (K, d) means from ``flip_time`` on, read-only."""
         mu = self.base.mu.copy()
-        if t >= self.flip_time:
-            mu[self.flip_task] = -mu[self.flip_task]
+        mu[self.flip_task] = -mu[self.flip_task]
+        mu.flags.writeable = False
         return mu
+
+    def mu_at(self, t: int) -> np.ndarray:
+        return self.mu_after if t >= self.flip_time else self.base.mu
 
     @cached_property
     def graph_before(self) -> ConflictGraph:
@@ -576,7 +581,7 @@ class DriftingSuite:
     @cached_property
     def graph_after(self) -> ConflictGraph:
         """The true graph from ``flip_time`` on, at the suite's threshold."""
-        return _mean_graph(self.mu_at(self.flip_time), self.base.tau)
+        return _mean_graph(self.mu_after, self.base.tau)
 
     def true_graph_at(self, t: int) -> ConflictGraph:
         return self.graph_after if t >= self.flip_time else self.graph_before

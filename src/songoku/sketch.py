@@ -15,8 +15,10 @@ Four alternatives to the dense K x K x d Gram computation:
   keeps one value table and cluster labels; it saves pair evaluations, not
   time, and still costs an order of magnitude more than the exact dense
   graph at K=64.
-* ``incremental_gram`` — recompute only drifted rows of a cached Gram; the
-  result is exact.
+* ``incremental_gram`` — recompute only drifted rows of a cached Gram.  The
+  result is exact for the recomputed rows, so for every row only at
+  ``change_threshold = 0``; a row whose drift stays under the threshold
+  keeps its stale entries.
 
 Every operation can charge an explicit flop counter so the bench harness can
 verify the advertised cost scalings.

@@ -1,5 +1,6 @@
-"""Shared test helpers: brute-force coloring oracle, random graph factory and
-the acceptance-08 run panel."""
+"""Shared test helpers: brute-force coloring oracle, random graph factory,
+a window's slots read off its classes and extra slots, and the acceptance-08
+run panel."""
 from __future__ import annotations
 
 import itertools
@@ -38,6 +39,21 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> ConflictGraph:
         if rng.random() < p
     )
     return ConflictGraph.from_edges(n, edges=edges, tau=0.5)
+
+
+def slot_tasks(classes, extra_slots, slot: int) -> list:
+    """The tasks of 1-based ``slot``: its class and its extra copies, ascending."""
+    return sorted(list(classes[slot - 1]) + list(dict(extra_slots).get(slot, ())))
+
+
+def active_for_offset(classes, extra_slots, offset: int) -> list:
+    """The tasks served ``offset`` steps into a window: slot offset mod m + 1."""
+    return slot_tasks(classes, extra_slots, offset % len(classes) + 1)
+
+
+def appearances(classes, extra_slots, task: int) -> int:
+    """Slots per period that hold ``task``."""
+    return sum(task in slot_tasks(classes, extra_slots, s) for s in range(1, len(classes) + 1))
 
 
 def acceptance_panel() -> list:

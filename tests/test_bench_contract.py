@@ -26,12 +26,13 @@ def test_every_traced_name_resolves():
         assert callable(getattr(RunRecord, attr, None)), f"RunRecord.{attr} ({span})"
 
 
-def traced_calls(T, combinators=None):
-    """Span name -> calls of one traced ``scheduler.run`` of T steps."""
+def traced_calls(T, combinators=None, **cfg):
+    """Span name -> calls of one traced ``scheduler.run`` of T steps;
+    ``cfg`` adds scheduler config keys."""
     suite = make_planted_suite(
         K=4, d=6, groups=2, tau=0.5, gamma=0.3, sigma=0.5, m0=1.0, seed=0
     )
-    cfg = scheduler.SchedulerConfig(K=4, d=6, T=T, R=8, beta=0.8, seed=3)
+    cfg = scheduler.SchedulerConfig(K=4, d=6, T=T, R=8, beta=0.8, seed=3, **cfg)
     trace = tracer.Tracer()
     with trace.round():
         scheduler.run(cfg, PlantedOracle(suite), combinators=combinators)
@@ -51,6 +52,26 @@ def test_a_traced_run_records_one_descent_span_per_step():
     # `scheduler.tau_eff`, which the tracer wraps as `grad_stats.tau_eff`
     T = 24
     assert traced_calls(T)["grad_stats.tau_eff"] == T
+
+
+def test_a_traced_run_colors_and_covers_once_per_window():
+    # the initial window plus one per refresh, looked up through the module
+    # globals `scheduler.welsh_powell` and `scheduler.enforce_min_coverage`
+    T, R = 24, 8
+    calls = traced_calls(T)
+    assert calls["scheduler.refresh"] == T // R
+    assert calls["conflict_graph.welsh_powell"] == T // R + 1
+    assert calls["conflict_graph.enforce_min_coverage"] == T // R + 1
+
+
+def test_a_traced_frozen_run_colors_nothing_after_the_freeze():
+    # the first refresh (tau < 1 after step 7) freezes the grouping; later
+    # refreshes still fold probes but rebuild nothing
+    calls = traced_calls(24, freeze_after_first_coloring=True)
+    assert calls["scheduler.refresh"] == 3
+    assert calls["conflict_graph.welsh_powell"] == 2
+    assert calls["conflict_graph.enforce_min_coverage"] == 2
+    assert calls["conflict_graph.build_graph"] == 1
 
 
 def test_a_traced_run_records_one_span_per_combinator_per_step():

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chromatic_number, random_graph
+from conftest import active_for_offset, appearances, chromatic_number, random_graph, slot_tasks
 from songoku.conflict_graph import (
-    AugmentedSchedule,
     ConflictGraph,
     build_graph,
     enforce_min_coverage,
@@ -105,56 +104,60 @@ class TestCoverage:
 
     def test_f_min_one_is_identity(self):
         col = welsh_powell(self.path())
-        sched = enforce_min_coverage(col, self.path(), 1)
-        assert sched.extra_slots == {} and sched.coverage_failures == ()
-        assert sched.slot_tasks(1) == [1] and sched.slot_tasks(2) == [0, 2]
+        extra, failures = enforce_min_coverage(col, self.path(), 1)
+        assert extra == () and failures == ()
+        assert slot_tasks(col.classes, extra, 1) == [1]
+        assert slot_tasks(col.classes, extra, 2) == [0, 2]
 
     def test_path_cannot_double_cover(self):
         # every vertex conflicts with the other slot's occupants, so f_min=2
         # is unreachable for all three tasks
         g = self.path()
-        sched = enforce_min_coverage(welsh_powell(g), g, 2)
-        assert sched.coverage_failures == (0, 1, 2)
-        assert sched.extra_slots == {}
+        extra, failures = enforce_min_coverage(welsh_powell(g), g, 2)
+        assert failures == (0, 1, 2)
+        assert extra == ()
 
     def test_star_leaves_fill_but_center_cannot(self):
         g = ConflictGraph.from_edges(4, frozenset({(0, 1), (0, 2), (0, 3)}), 0.5)
-        sched = enforce_min_coverage(welsh_powell(g), g, 2)
+        _, failures = enforce_min_coverage(welsh_powell(g), g, 2)
         # center 0 conflicts with every leaf; leaves cannot join slot 1 either
         # (center occupies it), so nobody reaches two appearances
-        assert sched.coverage_failures == (0, 1, 2, 3)
+        assert failures == (0, 1, 2, 3)
 
     def test_two_colors_block_every_edged_vertex(self):
         # with m = 2, an edged vertex's neighbor always owns the other slot
         g = ConflictGraph.from_edges(4, frozenset({(0, 1), (2, 3)}), 0.5)
-        sched = enforce_min_coverage(welsh_powell(g), g, 2)
-        assert sched.coverage_failures == (0, 1, 2, 3)
-        assert sched.extra_slots == {}
+        extra, failures = enforce_min_coverage(welsh_powell(g), g, 2)
+        assert failures == (0, 1, 2, 3)
+        assert extra == ()
 
     def test_single_edge_partial_fill(self):
         g = ConflictGraph.from_edges(4, frozenset({(0, 1)}), 0.5)
-        sched = enforce_min_coverage(welsh_powell(g), g, 2)
+        col = welsh_powell(g)
+        extra, failures = enforce_min_coverage(col, g, 2)
         # free vertices 2 and 3 join slot 2; the edge endpoints block each other
-        assert sched.extra_slots == {2: [2, 3]}
-        assert sched.coverage_failures == (0, 1)
-        assert [sched.appearances(t) for t in range(4)] == [1, 1, 2, 2]
+        assert extra == ((2, (2, 3)),)
+        assert failures == (0, 1)
+        assert [appearances(col.classes, extra, t) for t in range(4)] == [1, 1, 2, 2]
         for s in (1, 2):
-            tasks = sched.slot_tasks(s)
+            tasks = slot_tasks(col.classes, extra, s)
             assert not any(g.has_edge(a, b) for a in tasks for b in tasks if a < b)
 
     def test_triangle_with_free_rider_f_min_three(self):
         g = ConflictGraph.from_edges(4, frozenset({(0, 1), (0, 2), (1, 2)}), 0.5)
-        sched = enforce_min_coverage(welsh_powell(g), g, 3)
+        col = welsh_powell(g)
+        extra, failures = enforce_min_coverage(col, g, 3)
         # vertex 3 rides along every slot; the triangle is stuck at one each
-        assert sched.appearances(3) == 3
-        assert sched.coverage_failures == (0, 1, 2)
+        assert appearances(col.classes, extra, 3) == 3
+        assert failures == (0, 1, 2)
 
     def test_empty_graph_free_for_all(self):
         g = ConflictGraph.from_edges(3, frozenset(), 0.5)
-        sched = enforce_min_coverage(welsh_powell(g), g, 1)
-        assert sched.m == 1
-        assert sched.active_for_offset(0) == [0, 1, 2]
-        assert sched.active_for_offset(7) == [0, 1, 2]
+        col = welsh_powell(g)
+        extra, _ = enforce_min_coverage(col, g, 1)
+        assert col.m == 1
+        assert active_for_offset(col.classes, extra, 0) == [0, 1, 2]
+        assert active_for_offset(col.classes, extra, 7) == [0, 1, 2]
 
     def test_f_min_validation(self):
         col = welsh_powell(self.path())
@@ -163,22 +166,24 @@ class TestCoverage:
 
     def test_cyclic_offsets_wrap(self):
         g = self.path()
-        sched = enforce_min_coverage(welsh_powell(g), g, 1)
-        assert sched.active_for_offset(0) == sched.active_for_offset(2)
-        assert sched.active_for_offset(1) == sched.active_for_offset(5)
+        col = welsh_powell(g)
+        extra, _ = enforce_min_coverage(col, g, 1)
+        assert active_for_offset(col.classes, extra, 0) == active_for_offset(col.classes, extra, 2)
+        assert active_for_offset(col.classes, extra, 1) == active_for_offset(col.classes, extra, 5)
 
     @given(st.integers(2, 7), st.floats(0.0, 0.9), st.integers(0, 9999), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     def test_augmentation_never_breaks_compatibility(self, n, p, seed, f_min):
         g = random_graph(np.random.default_rng(seed), n, p)
-        sched = enforce_min_coverage(welsh_powell(g), g, f_min)
-        for s in range(1, sched.m + 1):
-            tasks = sched.slot_tasks(s)
+        col = welsh_powell(g)
+        extra, failures = enforce_min_coverage(col, g, f_min)
+        for s in range(1, col.m + 1):
+            tasks = slot_tasks(col.classes, extra, s)
             for i, a in enumerate(tasks):
                 for b in tasks[i + 1:]:
                     assert not g.has_edge(a, b)
         for task in range(n):
-            appear = sched.appearances(task)
+            appear = appearances(col.classes, extra, task)
             assert appear >= 1
-            if task not in sched.coverage_failures:
+            if task not in failures:
                 assert appear >= f_min

@@ -1,13 +1,15 @@
 """Seed-7 golden hashes of the staleness audit, the other experiments, the
-acceptance-08 panel and one ``steps_k40_d1024``-shaped run.
+acceptance-08 panel, one frozen run and one ``steps_k40_d1024``-shaped run.
 
 ``golden_seed7.json`` holds, for every estimator in ``SKETCH_MODES`` under
 each combinator mode, the sha256 of every file the audit writes and the two
 content hashes its summary reports.  For every other experiment but ``bench``
 (which records timings) it holds the sha256 of ``run.csv`` and
 ``summary.json`` at K=8, d=32, T=128, R=16.  For each run of the
-acceptance-08 panel and for a K=40, d=1024, T=1024 run on a 4-group planted
-pool it holds the sha256 of ``run.csv`` and of ``summary.json`` and the
+acceptance-08 panel, for one frozen run (``freeze_after_first_coloring``) on
+the drifting world of that K=8 config, whose windows after the freeze
+re-serve one coloring, and for a K=40, d=1024, T=1024 run on a 4-group
+planted pool it holds the sha256 of ``run.csv`` and of ``summary.json`` and the
 record's ``content_hash``.  A change that keeps every artifact's bits passes
 unchanged; a change that moves a bit fails here and has to name the move.
 The hashes were taken on the BLAS the file records.  Elsewhere a dot product
@@ -27,9 +29,9 @@ import pytest
 from conftest import acceptance_panel
 from songoku.combinators import MODES
 from songoku.config import parse_config
-from songoku.experiments import run_experiment
+from songoku.experiments import _drifting_world, _scheduler_config, run_experiment
 from songoku.scheduler import SchedulerConfig, run
-from songoku.sim import make_planted_suite
+from songoku.sim import DriftingOracle, make_planted_suite
 from songoku.sketch import SKETCH_MODES
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_seed7.json")
@@ -89,6 +91,13 @@ def record_hashes(record) -> dict:
             "summary.json": sha256(record.to_summary_json())}
 
 
+def frozen_hashes() -> dict:
+    cfg = parse_config(None, dict(EXPERIMENT, experiment="ablation_static"))
+    suite, _ = _drifting_world(cfg)
+    sched_cfg = _scheduler_config(cfg, freeze_after_first_coloring=True)
+    return record_hashes(run(sched_cfg, DriftingOracle(suite)))
+
+
 def panel_hashes() -> list:
     return [record_hashes(run(cfg, oracle, combinators=comb, graph_builder=make_builder()))
             for cfg, oracle, comb, make_builder in acceptance_panel()]
@@ -144,6 +153,7 @@ def test_golden_covers_every_case(golden):
     assert golden["steps"]["params"] == STEPS
     assert golden["experiments"]["params"] == EXPERIMENT
     assert sorted(golden["experiments"]["hashes"]) == sorted(EXPERIMENT_NAMES)
+    assert golden["frozen"]["params"] == EXPERIMENT
 
 
 @pytest.mark.parametrize("sketch_mode,combinator_mode", CASES)
@@ -155,6 +165,10 @@ def test_audit_artifacts_keep_their_bits(golden, tmp_path, sketch_mode, combinat
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
 def test_experiment_artifacts_keep_their_bits(golden, tmp_path, name):
     assert experiment_hashes(name, str(tmp_path)) == golden["experiments"]["hashes"][name]
+
+
+def test_frozen_run_keeps_its_bits(golden):
+    assert frozen_hashes() == golden["frozen"]["hashes"]
 
 
 def test_acceptance_panel_keeps_its_bits(golden):
@@ -177,6 +191,7 @@ if __name__ == "__main__":
             "experiments": {"params": EXPERIMENT,
                             "hashes": {name: experiment_hashes(name, os.path.join(tmp, name))
                                        for name in EXPERIMENT_NAMES}},
+            "frozen": {"params": EXPERIMENT, "hashes": frozen_hashes()},
             "panel": panel_hashes(),
             "steps": {"params": STEPS, "hashes": steps_hashes()},
         }

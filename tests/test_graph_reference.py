@@ -104,10 +104,10 @@ def assert_matches_reference(mat, tau, f_min):
     assert (coloring.color_of, coloring.m, coloring.classes) == (color_of, m, classes)
     assert all(type(c) is int for c in coloring.color_of)
 
-    sched = enforce_min_coverage(coloring, graph, f_min)
+    extra_slots, coverage_failures = enforce_min_coverage(coloring, graph, f_min)
     extra, failures = ref_coverage(K, edges, color_of, classes, f_min)
-    assert sched.extra_slots == extra
-    assert sched.coverage_failures == failures
+    assert extra_slots == tuple((s, tuple(ts)) for s, ts in sorted(extra.items()))
+    assert coverage_failures == failures
     return sum(len(ts) for ts in extra.values())
 
 

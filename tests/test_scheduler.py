@@ -28,6 +28,7 @@ from songoku.sim import (
     make_planted_suite,
     reference_block_diagonal_instance,
 )
+from conftest import active_for_offset
 from test_combinator_reference import as_array, ref_apply_combinators, ref_scale_state
 
 
@@ -107,9 +108,9 @@ class TestAnnealTau:
 class TestStateAndUpdates:
     def test_init_state_installs_all_task_window(self):
         state = init_state(small_cfg())
-        assert state.schedule.m == 1
-        assert state.schedule.active_for_offset(0) == [0, 1, 2, 3]
-        assert state.tau == 1.0
+        assert state.window.m == 1
+        assert active_for_offset(state.window.classes, state.window.extra_slots, 0) == [0, 1, 2, 3]
+        assert state.window.tau == 1.0
         assert state.stats.included_count() == 0
 
     def test_init_theta_shape_checked(self):
@@ -125,31 +126,33 @@ class TestStateAndUpdates:
     def test_refresh_rebuilds_from_probes(self):
         state = init_state(small_cfg(K=2, d=2))
         probes = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
-        refresh(state, probes, tau=0.5)
-        assert state.graph.edges == {(0, 1)}
-        assert state.schedule.m == 2
-        assert state.r == 1 and state.tau == 0.5
+        refresh(state, probes, tau=0.5, step=8)
+        assert state.window.edges == ((0, 1),)
+        assert state.window.m == 2
+        assert state.window.r == 1 and state.window.tau == 0.5
 
     def test_refresh_degenerate_falls_back(self):
         state = init_state(small_cfg(K=2, d=2))
-        refresh(state, [np.zeros(2), np.zeros(2)], tau=0.5)
-        assert state.schedule.m == 1
-        assert state.graph.edges == frozenset()
+        refresh(state, [np.zeros(2), np.zeros(2)], tau=0.5, step=8)
+        assert state.window.m == 1
+        assert state.window.edges == ()
 
     def test_frozen_state_keeps_schedule_but_tracks_stats(self):
         state = init_state(small_cfg(K=2, d=2, freeze_after_first_coloring=True))
-        refresh(state, [np.array([1.0, 0.0]), np.array([-1.0, 0.0])], tau=0.5)
-        assert state.frozen
-        before = state.schedule.base_classes
-        refresh(state, [np.array([1.0, 0.0]), np.array([1.0, 0.0])], tau=0.5)
-        assert state.schedule.base_classes == before  # grouping pinned
+        refresh(state, [np.array([1.0, 0.0]), np.array([-1.0, 0.0])], tau=0.5, step=8)
+        assert state.window.frozen
+        before = state.window.classes
+        refresh(state, [np.array([1.0, 0.0]), np.array([1.0, 0.0])], tau=0.5, step=16)
+        assert state.window.classes == before  # grouping pinned
+        assert (state.window.r, state.window.t_start, state.window.frozen) == (2, 16, True)
         assert state.stats.steps.tolist() == [2, 2]   # statistics still advance
 
     def test_active_set_cycles_through_slots(self):
         state = init_state(small_cfg(K=2, d=2))
-        refresh(state, [np.array([1.0, 0.0]), np.array([-1.0, 0.0])], tau=0.5)
-        state.t_r = 8
-        sets = [state.schedule.active_for_offset(t - state.t_r) for t in range(8, 12)]
+        refresh(state, [np.array([1.0, 0.0]), np.array([-1.0, 0.0])], tau=0.5, step=8)
+        assert state.window.t_start == 8
+        w = state.window
+        sets = [active_for_offset(w.classes, w.extra_slots, t - w.t_start) for t in range(8, 12)]
         assert sets[0] != sets[1]
         assert sets[0] == sets[2] and sets[1] == sets[3]
 
@@ -279,7 +282,7 @@ class TestDegenerateRefresh:
         for seed in range(200):
             u = np.random.default_rng(seed).standard_normal(7)
             state = init_state(small_cfg(K=2, d=7))
-            refresh(state, [u, -u], tau=1.0)
+            refresh(state, [u, -u], tau=1.0, step=8)
             M = state.stats.ema
             norms = np.linalg.norm(M, axis=1)
             cos = (M @ M.T)[0, 1] / (norms[0] * norms[1])
@@ -288,12 +291,13 @@ class TestDegenerateRefresh:
         else:
             pytest.fail("no seed gives a rounded cosine below -1")
         assert -cos > 1.0
-        assert state.graph.edges == frozenset()
-        assert state.schedule.m == 1
+        assert state.window.edges == ()
+        assert state.window.m == 1
 
 
 def reference_run(cfg, oracle, combinators=None, graph_builder=None):
-    """The step loop as a per-task walk: a dict of gradients, the list-based
+    """The step loop as a per-task walk: the active set read off the
+    window's classes and extra slots, a dict of gradients, the list-based
     reference combinators with their dict of scale EMAs, the applied rows
     summed one by one into the update and the descent check with
     ``tau_eff``, and one ``update_ema`` call per active task.  Returns the
@@ -305,12 +309,14 @@ def reference_run(cfg, oracle, combinators=None, graph_builder=None):
     theta0 = oracle.init_theta() if hasattr(oracle, "init_theta") else None
     state = init_state(cfg, theta0)
     scale_state = ref_scale_state(combinators) if combinators is not None else None
-    record.windows.append(scheduler._window_record(state, t_start=0))
+    record.windows.append(state.window)
     eta = cfg.step_size()
     for t in range(cfg.T):
         tau_t = anneal_tau(t, cfg)
-        tasks = tuple(state.schedule.active_for_offset(t - state.t_r))
-        m_t = state.schedule.m
+        w = state.window
+        s = (t - w.t_start) % w.m
+        tasks = tuple(sorted(set(w.classes[s]) | set(dict(w.extra_slots).get(s + 1, ()))))
+        m_t = w.m
         grads = {
             k: np.asarray(oracle.gradient(k, state.theta, state.rng), dtype=np.float64)
             for k in tasks
@@ -332,9 +338,9 @@ def reference_run(cfg, oracle, combinators=None, graph_builder=None):
         did_refresh = (t + 1) % cfg.R == 0
         if did_refresh:
             probes = [oracle.gradient(k, state.theta, state.rng) for k in range(cfg.K)]
-            refresh(state, probes, anneal_tau(t, cfg), graph_builder)
-            state.t_r = t + 1
-            record.windows.append(scheduler._window_record(state, t_start=t + 1))
+            refresh(state, probes, anneal_tau(t, cfg), graph_builder, step=t + 1)
+            assert state.window.t_start == t + 1
+            record.windows.append(state.window)
         record.steps.append(
             StepRow(
                 t=t,
@@ -462,18 +468,18 @@ class TestBadGradients:
 
     def test_refresh_rejects_bad_probe_naming_task(self):
         state = init_state(small_cfg(K=2, d=2))
-        with pytest.raises(ValueError, match=r"probe gradient for task 1 has dimension \(3,\)"):
-            refresh(state, [np.zeros(2), np.zeros(3)], tau=0.5)
+        with pytest.raises(ValueError, match=r"probe gradient for task 1 at step 8 has dimension \(3,\)"):
+            refresh(state, [np.zeros(2), np.zeros(3)], tau=0.5, step=8)
         with pytest.raises(ValueError, match=r"probe gradient for task 0 at step 5 has dimension"):
             refresh(state, [np.zeros(3), np.zeros(3)], tau=0.5, step=5)
-        with pytest.raises(ValueError, match=r"non-finite probe gradient for task 1$"):
-            refresh(state, {0: np.zeros(2), 1: np.array([0.0, np.inf])}, tau=0.5)
-        assert state.r == 0 and not state.stats.steps.any()
+        with pytest.raises(ValueError, match=r"non-finite probe gradient for task 1 at step 8$"):
+            refresh(state, {0: np.zeros(2), 1: np.array([0.0, np.inf])}, tau=0.5, step=8)
+        assert state.window.r == 0 and not state.stats.steps.any()
 
     def test_refresh_accepts_probes_by_task_index(self):
         by_list = init_state(small_cfg(K=2, d=2))
         by_dict = init_state(small_cfg(K=2, d=2))
         probes = [np.array([1.0, 2.0]), np.array([-3.0, 0.5])]
-        refresh(by_list, probes, tau=0.5)
-        refresh(by_dict, {1: probes[1], 0: probes[0]}, tau=0.5)
+        refresh(by_list, probes, tau=0.5, step=8)
+        refresh(by_dict, {1: probes[1], 0: probes[0]}, tau=0.5, step=8)
         assert by_dict.stats.ema.tobytes() == by_list.stats.ema.tobytes()

@@ -282,6 +282,9 @@ class TestDriftingWorld:
         flipped = drift.mu_at(10)
         np.testing.assert_array_equal(flipped[2], -drift.base.mu[2])
         np.testing.assert_array_equal(flipped[3], drift.base.mu[3])
+        # the means are built once and shared, never copied per call
+        assert drift.mu_at(9) is drift.base.mu
+        assert drift.mu_at(11) is flipped and not flipped.flags.writeable
 
     def test_true_graph_tracks_flip(self):
         drift = DriftingSuite(base=self.base(), flip_task=2, flip_time=10)
