@@ -6,7 +6,7 @@ in opposing directions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,16 +15,15 @@ import numpy as np
 class GradStats:
     """EMA gradient state for K tasks over a shared d-dimensional space.
 
-    ``ema[i]`` is the exponentially averaged gradient of task i.  Tasks whose
-    EMA norm sits below ``norm_floor`` are flagged ``excluded`` and contribute
-    no interference entries until their buffer stabilizes.
+    ``ema[i]`` is the exponentially averaged gradient of task i.  A task
+    whose EMA norm sits below ``norm_floor`` contributes no interference
+    entries until its buffer stabilizes; ``included_mask`` reads that off
+    ``ema`` each time a graph is built, so nothing here can go stale.
     """
 
     ema: np.ndarray                  # (K, d) float64
     beta: float
     norm_floor: float = 1e-8
-    steps: np.ndarray = field(default=None)     # per-task update counts
-    excluded: np.ndarray = field(default=None)  # per-task bool
 
     def __post_init__(self):
         self.ema = np.asarray(self.ema, dtype=np.float64)
@@ -34,11 +33,6 @@ class GradStats:
             raise ValueError(f"beta={self.beta} outside [0, 1)")
         if self.norm_floor < 0:
             raise ValueError(f"norm_floor={self.norm_floor} must be nonnegative")
-        K = self.ema.shape[0]
-        if self.steps is None:
-            self.steps = np.zeros(K, dtype=np.int64)
-        if self.excluded is None:
-            self._refresh_excluded()
 
     @classmethod
     def zeros(cls, K: int, d: int, beta: float, norm_floor: float = 1e-8) -> "GradStats":
@@ -52,11 +46,12 @@ class GradStats:
     def d(self) -> int:
         return self.ema.shape[1]
 
-    def _refresh_excluded(self) -> None:
-        self.excluded = np.linalg.norm(self.ema, axis=1) < self.norm_floor
 
-    def included_count(self) -> int:
-        return int(np.count_nonzero(~self.excluded))
+def included_mask(stats: GradStats) -> np.ndarray:
+    """The (K,) bool mask of tasks whose EMA row norm reaches ``norm_floor``:
+    the tasks that take part in an interference graph.  A NaN norm is not
+    included."""
+    return np.linalg.norm(stats.ema, axis=1) >= stats.norm_floor
 
 
 def update_ema(stats: GradStats, task, grad) -> GradStats:
@@ -66,8 +61,7 @@ def update_ema(stats: GradStats, task, grad) -> GradStats:
     sequence of n indices with an (n, d) block whose rows go to those tasks
     in order.  A block folds in one elementwise pass whose EMA rows are
     bit-identical to one call per row.  Mutates ``stats`` in place and
-    returns it; only the given rows, their step counts and their excluded
-    flags change.
+    returns it; only the given rows of ``ema`` change.
     """
     rows = np.asarray(task)
     seq = rows.reshape(-1).tolist()
@@ -81,10 +75,7 @@ def update_ema(stats: GradStats, task, grad) -> GradStats:
             f"gradient for task {task} has dimension {grad.shape}, "
             f"expected {rows.shape + (stats.d,)}"
         )
-    new = stats.beta * stats.ema[rows] + (1.0 - stats.beta) * grad
-    stats.ema[rows] = new
-    stats.steps[rows] += 1
-    stats.excluded[rows] = np.linalg.norm(new, axis=-1) < stats.norm_floor
+    stats.ema[rows] = stats.beta * stats.ema[rows] + (1.0 - stats.beta) * grad
     return stats
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .grad_stats import GradStats, row_interference, tau_eff, update_ema
+from .grad_stats import GradStats, included_mask, row_interference, tau_eff, update_ema
 from .conflict_graph import (
     Coloring,
     ConflictGraph,
@@ -112,7 +112,7 @@ def anneal_tau(t: int, cfg: SchedulerConfig) -> float:
 def dense_graph(stats: GradStats, tau: float) -> ConflictGraph:
     """The exact refresh graph: the cosine kernel on the included EMA rows,
     thresholded at tau.  With fewer than two included tasks it has no edges."""
-    return build_graph(row_interference(stats.ema, ~stats.excluded), tau)
+    return build_graph(row_interference(stats.ema, included_mask(stats)), tau)
 
 
 @dataclass

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conflict_graph import ConflictGraph, build_graph
-from .grad_stats import GradStats, cosine_rho, interference, row_interference
-from .scheduler import dense_graph
+from .grad_stats import GradStats, cosine_rho, included_mask, interference, row_interference
 
 SKETCH_MODES = ("dense", "jl", "fd", "edge_sample", "incremental")
 
@@ -424,11 +423,6 @@ def _rebuild(cache: GramCache, M: np.ndarray, matrix_version: int,
 # Graph builders pluggable into the scheduler's refresh
 
 
-def _included(stats: GradStats, norms: np.ndarray) -> np.ndarray:
-    """Tasks not excluded whose row norm ``norms`` reaches the floor."""
-    return ~stats.excluded & (norms >= stats.norm_floor)
-
-
 def make_graph_builder(
     scfg: SketchConfig,
     counter: FlopCounter | None = None,
@@ -437,16 +431,18 @@ def make_graph_builder(
     """Returns ``builder(stats, tau, window) -> ConflictGraph`` for a mode.
 
     The incremental mode owns a persistent GramCache across windows; JL draws
-    a fresh seeded projection per window.  Excluded tasks (norm below the
-    statistics floor) are isolated in every mode.
+    a fresh seeded projection per window.  Which tasks take part is read off
+    the EMA norms each time a graph is built (``included_mask``); a task
+    whose norm sits below the statistics floor is isolated in every mode.
     """
     if scfg.mode == "dense":
 
         def dense_builder(stats: GradStats, tau: float, window: int) -> ConflictGraph:
+            ok = included_mask(stats)
             if counter is not None:
-                k_inc = int(stats.included_count())
+                k_inc = int(np.count_nonzero(ok))
                 counter.add("gram_full", 2 * k_inc * k_inc * stats.d)
-            return dense_graph(stats, tau)
+            return build_graph(row_interference(stats.ema, ok), tau)
 
         return dense_builder
 
@@ -457,18 +453,17 @@ def make_graph_builder(
             sketch = jl_project(stats.ema, r, seed + window, counter=counter)
             if counter is not None:
                 counter.add("jl_gram", 2 * stats.K * stats.K * r)
-            ok = _included(stats, np.linalg.norm(stats.ema, axis=1))
-            return build_graph(row_interference(sketch, ok), tau)
+            return build_graph(row_interference(sketch, included_mask(stats)), tau)
 
         return jl_builder
 
     if scfg.mode == "fd":
 
         def fd_builder(stats: GradStats, tau: float, window: int) -> ConflictGraph:
-            gram_hat, norms, _ = fd_task_gram(stats.ema, scfg.ell, counter=counter)
+            gram_hat, _, _ = fd_task_gram(stats.ema, scfg.ell, counter=counter)
             if counter is not None:
                 counter.add("fd_gram", 2 * stats.K * stats.K * scfg.ell)
-            ok = _included(stats, norms)
+            ok = included_mask(stats)
             block = np.ix_(ok, ok)
             rho = interference(gram_hat[block], np.sqrt(np.diag(gram_hat))[ok], ok)
             return build_graph(rho, tau)
@@ -478,12 +473,11 @@ def make_graph_builder(
     if scfg.mode == "edge_sample":
 
         def es_builder(stats: GradStats, tau: float, window: int) -> ConflictGraph:
-            norms = np.linalg.norm(stats.ema, axis=1)
-            idx = np.flatnonzero(_included(stats, norms))
+            idx = np.flatnonzero(included_mask(stats))
             if len(idx) < 2:
                 return ConflictGraph.from_edges(stats.K, (), tau)
             sub = stats.ema[idx]
-            sub_norms = norms[idx]
+            sub_norms = np.linalg.norm(sub, axis=1)
 
             def rho_pair(a: int, b: int) -> float:
                 if counter is not None:
@@ -519,7 +513,10 @@ def make_graph_builder(
                     cache, stats.ema, changed, matrix_version=window, counter=counter
                 )
             cache = state["cache"]
-            ok = _included(stats, cache.row_norms)
+            # the kernel divides by the cached norms, and a row whose drift
+            # stayed under change_threshold keeps a stale one: a stale norm
+            # below the floor would divide by (nearly) zero
+            ok = included_mask(stats) & (cache.row_norms >= stats.norm_floor)
             rho = interference(cache.gram[np.ix_(ok, ok)], cache.row_norms[ok], ok)
             return build_graph(rho, tau)
 

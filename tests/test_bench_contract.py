@@ -47,6 +47,13 @@ def test_a_traced_run_records_one_update_span_per_step():
     assert calls["scheduler.run"] == 1
 
 
+def test_a_traced_run_folds_once_per_step_and_once_per_refresh():
+    # `grad_stats.update_ema.calls` counts EMA folds: the step's block and
+    # each refresh's probes, each in one call
+    T, R = 24, 8
+    assert traced_calls(T)["grad_stats.update_ema"] == T + T // R
+
+
 def test_a_traced_run_records_one_descent_span_per_step():
     # the step's descent check reads tau_eff through the module global
     # `scheduler.tau_eff`, which the tracer wraps as `grad_stats.tau_eff`

@@ -12,6 +12,7 @@ from songoku.grad_stats import (
     beta_for_effective_sample_size,
     descent_check,
     effective_sample_size,
+    included_mask,
     row_interference,
     tau_eff,
     update_ema,
@@ -26,9 +27,8 @@ def gram(rows) -> np.ndarray:
 class TestGradStats:
     def test_zeros_starts_fully_excluded(self):
         stats = GradStats.zeros(4, 3, beta=0.9)
-        assert stats.included_count() == 0
-        assert stats.excluded.all()
-        assert stats.steps.tolist() == [0, 0, 0, 0]
+        assert included_mask(stats).tolist() == [False] * 4
+        assert stats.ema.tobytes() == np.zeros((4, 3)).tobytes()
 
     def test_update_blends_row(self):
         stats = GradStats.zeros(2, 2, beta=0.5)
@@ -36,9 +36,9 @@ class TestGradStats:
         np.testing.assert_allclose(stats.ema[0], [1.0, 0.0])
         update_ema(stats, 0, np.array([0.0, 4.0]))
         np.testing.assert_allclose(stats.ema[0], [0.5, 2.0])
-        assert stats.steps[0] == 2 and stats.steps[1] == 0
         # row 1 untouched and still excluded
-        assert stats.excluded[1] and not stats.excluded[0]
+        assert stats.ema[1].tobytes() == np.zeros(2).tobytes()
+        assert included_mask(stats).tolist() == [True, False]
 
     def test_update_rejects_bad_inputs(self):
         stats = GradStats.zeros(2, 3, beta=0.9)
@@ -61,12 +61,14 @@ class TestGradStats:
         expect = ema0.copy()
         expect[rows] = 0.85 * ema0[rows] + (1.0 - 0.85) * block
         assert batched.ema.tobytes() == per_row.ema.tobytes() == expect.tobytes()
-        assert batched.steps.tolist() == per_row.steps.tolist() == [1, 0, 1, 1, 0, 1, 0]
-        assert batched.excluded.tolist() == per_row.excluded.tolist()
-        assert batched.excluded[5] and not batched.excluded[0]
+        untouched = [1, 4, 6]
+        assert batched.ema[untouched].tobytes() == ema0[untouched].tobytes()
+        assert included_mask(batched).tolist() == included_mask(per_row).tolist()
+        assert not included_mask(batched)[5] and included_mask(batched)[0]
 
     def test_batched_fold_rejects_bad_rows(self):
         stats = GradStats.zeros(3, 2, beta=0.9)
+        before = stats.ema.tobytes()
         with pytest.raises(ValueError, match="ascending"):
             update_ema(stats, [2, 0], np.zeros((2, 2)))
         with pytest.raises(ValueError, match="ascending"):
@@ -75,7 +77,7 @@ class TestGradStats:
             update_ema(stats, [1, 3], np.zeros((2, 2)))
         with pytest.raises(ValueError, match="dimension"):
             update_ema(stats, [0, 1], np.zeros((2, 3)))
-        assert stats.steps.tolist() == [0, 0, 0]
+        assert stats.ema.tobytes() == before
 
     def test_beta_range_enforced(self):
         with pytest.raises(ValueError):
@@ -87,7 +89,7 @@ class TestGradStats:
         stats = GradStats.zeros(2, 2, beta=0.0, norm_floor=1e-3)
         update_ema(stats, 0, np.array([1e-6, 0.0]))
         update_ema(stats, 1, np.array([1.0, 0.0]))
-        assert stats.excluded[0] and not stats.excluded[1]
+        assert included_mask(stats).tolist() == [False, True]
 
 
 class TestEffectiveSampleSize:
@@ -135,7 +137,7 @@ class TestEffectiveSampleSize:
 def _rho(rows, beta=0.9):
     """The dense refresh's kernel call on EMA rows ``rows``."""
     stats = GradStats(ema=np.asarray(rows, dtype=np.float64), beta=beta)
-    return row_interference(stats.ema, ~stats.excluded)
+    return row_interference(stats.ema, included_mask(stats))
 
 
 class TestInterferenceMatrix:

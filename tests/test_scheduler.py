@@ -5,7 +5,7 @@ import pytest
 
 from songoku import scheduler
 from songoku.combinators import CombinatorConfig
-from songoku.grad_stats import tau_eff, update_ema
+from songoku.grad_stats import included_mask, tau_eff, update_ema
 from songoku.records import (
     RunRecord,
     StepRow,
@@ -111,7 +111,7 @@ class TestStateAndUpdates:
         assert state.window.m == 1
         assert active_for_offset(state.window.classes, state.window.extra_slots, 0) == [0, 1, 2, 3]
         assert state.window.tau == 1.0
-        assert state.stats.included_count() == 0
+        assert not included_mask(state.stats).any()
 
     def test_init_theta_shape_checked(self):
         with pytest.raises(ValueError):
@@ -139,13 +139,20 @@ class TestStateAndUpdates:
 
     def test_frozen_state_keeps_schedule_but_tracks_stats(self):
         state = init_state(small_cfg(K=2, d=2, freeze_after_first_coloring=True))
-        refresh(state, [np.array([1.0, 0.0]), np.array([-1.0, 0.0])], tau=0.5, step=8)
+        first = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        second = np.array([[1.0, 0.0], [1.0, 0.0]])
+        refresh(state, list(first), tau=0.5, step=8)
         assert state.window.frozen
         before = state.window.classes
-        refresh(state, [np.array([1.0, 0.0]), np.array([1.0, 0.0])], tau=0.5, step=16)
+        refresh(state, list(second), tau=0.5, step=16)
         assert state.window.classes == before  # grouping pinned
         assert (state.window.r, state.window.t_start, state.window.frozen) == (2, 16, True)
-        assert state.stats.steps.tolist() == [2, 2]   # statistics still advance
+        # statistics still advance: both probes are folded into every row
+        beta = state.stats.beta
+        want = np.zeros((2, 2))
+        for probes in (first, second):
+            want = beta * want + (1.0 - beta) * probes
+        assert state.stats.ema.tobytes() == want.tobytes()
 
     def test_active_set_cycles_through_slots(self):
         state = init_state(small_cfg(K=2, d=2))
@@ -390,9 +397,8 @@ class TestFusedStep:
         assert record.to_csv() == expect.to_csv()
         assert record.windows == expect.windows
         (state,) = states
-        for name in ("ema", "steps", "excluded"):
-            got, want = getattr(state.stats, name), getattr(ref_state.stats, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert state.stats.ema.tobytes() == ref_state.stats.ema.tobytes()
+        assert included_mask(state.stats).tolist() == included_mask(ref_state.stats).tolist()
         assert state.theta.tobytes() == ref_state.theta.tobytes()
         assert state.scale_ema.tobytes() == as_array(ref_scale.norm_ema, cfg.K).tobytes()
         assert np.isnan(state.scale_ema).all() == (not comb.scales)
@@ -468,13 +474,15 @@ class TestBadGradients:
 
     def test_refresh_rejects_bad_probe_naming_task(self):
         state = init_state(small_cfg(K=2, d=2))
+        state.stats.ema[:] = [[1.0, 2.0], [3.0, 4.0]]   # a zero probe fold would move it
+        before = state.stats.ema.tobytes()
         with pytest.raises(ValueError, match=r"probe gradient for task 1 at step 8 has dimension \(3,\)"):
             refresh(state, [np.zeros(2), np.zeros(3)], tau=0.5, step=8)
         with pytest.raises(ValueError, match=r"probe gradient for task 0 at step 5 has dimension"):
             refresh(state, [np.zeros(3), np.zeros(3)], tau=0.5, step=5)
         with pytest.raises(ValueError, match=r"non-finite probe gradient for task 1 at step 8$"):
             refresh(state, {0: np.zeros(2), 1: np.array([0.0, np.inf])}, tau=0.5, step=8)
-        assert state.window.r == 0 and not state.stats.steps.any()
+        assert state.window.r == 0 and state.stats.ema.tobytes() == before
 
     def test_refresh_accepts_probes_by_task_index(self):
         by_list = init_state(small_cfg(K=2, d=2))

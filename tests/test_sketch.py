@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from songoku.grad_stats import GradStats
 from songoku.scheduler import dense_graph
+from songoku.sim import make_planted_suite, true_graph
 from songoku.sketch import (
     FlopCounter,
     FrequentDirections,
@@ -352,13 +353,26 @@ class TestGraphBuilders:
     def test_excluded_tasks_isolated_in_every_mode(self):
         stats = separated_stats()
         stats.ema[4] = 0.0
-        stats._refresh_excluded()
         for mode in ("dense", "jl", "fd", "edge_sample", "incremental"):
             builder = make_graph_builder(
                 SketchConfig(mode=mode, r=32, ell=8, epsilon=0.3), seed=1
             )
             graph = builder(stats, 0.5, 1)
             assert all(4 not in e for e in graph.edges), mode
+
+    @pytest.mark.parametrize("mode", ["dense", "jl", "fd", "edge_sample", "incremental"])
+    def test_ema_written_directly_is_read_at_build_time(self, mode):
+        # which tasks take part is a property of the EMA rows when the graph
+        # is built, so rows written straight into `ema` count in full
+        suite = make_planted_suite(
+            K=8, d=16, groups=2, tau=0.5, gamma=0.3, sigma=0.0, m0=1.0, seed=0
+        )
+        stats = GradStats.zeros(8, 16, beta=0.9)
+        stats.ema[:] = suite.mu
+        builder = make_graph_builder(SketchConfig(mode=mode, epsilon=0.3), seed=0)
+        truth = true_graph(suite)
+        assert len(truth.edges) == 16
+        assert builder(stats, 0.5, 1).edges == truth.edges
 
     def test_unknown_mode_rejected_lazily(self):
         cfg = SketchConfig(mode="dense")
