@@ -60,8 +60,10 @@ def update_ema(stats: GradStats, task, grad) -> GradStats:
     ``task`` is one index with a (d,) gradient, or a strictly ascending
     sequence of n indices with an (n, d) block whose rows go to those tasks
     in order.  A block folds in one elementwise pass whose EMA rows are
-    bit-identical to one call per row.  Mutates ``stats`` in place and
-    returns it; only the given rows of ``ema`` change.
+    bit-identical to one call per row; all K rows (a refresh's probes) fold
+    into ``ema`` itself, with no gather or scatter.  Mutates ``stats`` in
+    place and returns it; only the given rows of ``ema`` change, and a
+    rejected call changes none.
     """
     rows = np.asarray(task)
     seq = rows.reshape(-1).tolist()
@@ -75,7 +77,16 @@ def update_ema(stats: GradStats, task, grad) -> GradStats:
             f"gradient for task {task} has dimension {grad.shape}, "
             f"expected {rows.shape + (stats.d,)}"
         )
-    stats.ema[rows] = stats.beta * stats.ema[rows] + (1.0 - stats.beta) * grad
+    # the same products and sum as beta * row + (1 - beta) * grad
+    scaled = (1.0 - stats.beta) * grad
+    if len(seq) == stats.K:     # ascending and in range: every row, in order
+        stats.ema *= stats.beta
+        stats.ema += scaled
+    else:
+        buf = stats.ema[rows]
+        buf *= stats.beta
+        buf += scaled
+        stats.ema[rows] = buf
     return stats
 
 

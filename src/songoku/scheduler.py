@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .grad_stats import GradStats, included_mask, row_interference, tau_eff, update_ema
+from .grad_stats import GradStats, interference, tau_eff, update_ema
 from .conflict_graph import (
     Coloring,
     ConflictGraph,
@@ -109,17 +109,27 @@ def anneal_tau(t: int, cfg: SchedulerConfig) -> float:
     return 1.0 - (1.0 - cfg.tau_star) * frac
 
 
-def dense_graph(stats: GradStats, tau: float) -> ConflictGraph:
-    """The exact refresh graph: the cosine kernel on the included EMA rows,
-    thresholded at tau.  With fewer than two included tasks it has no edges."""
-    return build_graph(row_interference(stats.ema, included_mask(stats)), tau)
+def dense_graph(stats: GradStats, tau: float, window=None, counter=None) -> ConflictGraph:
+    """The exact refresh graph, and the ``dense`` sketch mode's graph
+    builder: the cosine kernel on the included EMA rows, thresholded at
+    tau.  One norm pass gives both the inclusion mask and the kernel's
+    norms.  With fewer than two included tasks it has no edges.
+    ``window`` is unused; ``counter`` (a ``sketch.FlopCounter``) is charged
+    the Gram's flops as ``gram_full``."""
+    norms = np.linalg.norm(stats.ema, axis=1)
+    ok = norms >= stats.norm_floor
+    M = stats.ema[ok]
+    if counter is not None:
+        counter.add("gram_full", 2 * len(M) * len(M) * stats.d)
+    return build_graph(interference(M @ M.T, norms[ok], ok), tau)
 
 
 @dataclass
 class SchedulerState:
     """What a run carries from step to step.  ``window`` is the schedule
     being served, exactly as ``run`` records it: its index, first step,
-    threshold, classes, extra slots and whether its grouping is frozen."""
+    threshold, classes, extra slots and whether its grouping is frozen.
+    ``graph`` is the conflict graph that schedule was colored from."""
 
     cfg: SchedulerConfig
     stats: GradStats
@@ -127,6 +137,7 @@ class SchedulerState:
     rng: np.random.Generator
     window: WindowRecord
     scale_ema: np.ndarray           # (K,) adaptive-scale norm EMAs, NaN until used
+    graph: ConflictGraph
 
 
 def _window(r: int, t_start: int, tau: float, graph: ConflictGraph, coloring: Coloring,
@@ -158,6 +169,7 @@ def init_state(cfg: SchedulerConfig, theta0: np.ndarray | None = None) -> Schedu
         rng=np.random.default_rng(cfg.seed),
         window=_window(0, 0, tau0, graph, welsh_powell(graph), cfg.f_min, False),
         scale_ema=np.full(cfg.K, np.nan),
+        graph=graph,
     )
 
 
@@ -181,7 +193,7 @@ def _permuted(coloring: Coloring, rng: np.random.Generator) -> Coloring:
 def refresh(
     state: SchedulerState, probe_gradients, tau: float, graph_builder=None, *, step: int
 ) -> SchedulerState:
-    """Fold probes into the statistics, rebuild graph/coloring, and open the
+    """Fold probes into the statistics, rebuild the graph, and open the
     window that serves steps ``step`` onward.
 
     ``graph_builder(stats, tau, window)`` makes the graph; the default is
@@ -189,7 +201,10 @@ def refresh(
     (index-addressable).  A probe of the wrong dimension or with a non-finite
     entry raises ``ValueError`` naming the task and ``step``.  When the
     window is frozen (static-grouping ablation) the statistics still advance
-    but the new window keeps its schedule.
+    but the new window keeps its schedule.  A graph whose adjacency equals
+    the one ``state.graph`` holds keeps the schedule too, unless classes are
+    permuted: coloring and coverage are deterministic functions of the
+    adjacency, so recoloring it would give the same window.
     """
     K = state.cfg.K
     probes = _gradient_block(
@@ -200,11 +215,15 @@ def refresh(
     if state.window.frozen:
         state.window = replace(state.window, r=r, t_start=step, tau=float(tau))
         return state
-    graph = graph_builder(state.stats, tau, r) if graph_builder else dense_graph(state.stats, tau)
+    graph = (graph_builder or dense_graph)(state.stats, tau, r)
+    frozen = state.cfg.freeze_after_first_coloring and tau < 1.0
+    if not state.cfg.permute_classes and np.array_equal(graph.adj, state.graph.adj):
+        state.window = replace(state.window, r=r, t_start=step, tau=float(tau), frozen=frozen)
+        return state
     coloring = welsh_powell(graph)
     if state.cfg.permute_classes and coloring.m > 1:
         coloring = _permuted(coloring, state.rng)
-    frozen = state.cfg.freeze_after_first_coloring and tau < 1.0
+    state.graph = graph
     state.window = _window(r, step, tau, graph, coloring, state.cfg.f_min, frozen)
     return state
 
@@ -220,12 +239,21 @@ def _gradient_block(grads, tasks, d: int, step: int, kind: str = "gradient") -> 
     """``grads``, one per task of ``tasks``, as one (n, d) float64 block.  A
     wrong dimension or a non-finite entry raises ValueError naming the task
     and the step."""
-    for k, g in zip(tasks, grads):
-        if np.shape(g) != (d,):
-            raise ValueError(
-                f"{kind} for task {k} at step {step} has dimension {np.shape(g)}, expected ({d},)"
-            )
-    G = np.asarray(grads, dtype=np.float64)
+    def name_bad_shape():
+        for k, g in zip(tasks, grads):
+            if np.shape(g) != (d,):
+                raise ValueError(
+                    f"{kind} for task {k} at step {step} has dimension {np.shape(g)}, "
+                    f"expected ({d},)"
+                )
+
+    try:
+        G = np.asarray(grads, dtype=np.float64)
+    except (TypeError, ValueError):     # ragged, or not numbers
+        name_bad_shape()
+        raise
+    if G.shape != (len(tasks), d):
+        name_bad_shape()
     if not np.isfinite(G).all():
         bad = tasks[int(np.flatnonzero(~np.isfinite(G).all(axis=1))[0])]
         raise ValueError(f"non-finite {kind} for task {bad} at step {step}")

@@ -25,6 +25,7 @@ verify the advertised cost scalings.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ import numpy as np
 
 from .conflict_graph import ConflictGraph, build_graph
 from .grad_stats import GradStats, cosine_rho, included_mask, interference, row_interference
+from .scheduler import dense_graph
 
 SKETCH_MODES = ("dense", "jl", "fd", "edge_sample", "incremental")
 
@@ -432,19 +434,13 @@ def make_graph_builder(
 
     The incremental mode owns a persistent GramCache across windows; JL draws
     a fresh seeded projection per window.  Which tasks take part is read off
-    the EMA norms each time a graph is built (``included_mask``); a task
-    whose norm sits below the statistics floor is isolated in every mode.
+    the EMA norms each time a graph is built; a task whose norm sits below
+    the statistics floor is isolated in every mode.  The dense, fd and
+    edge_sample modes take those norms in the same pass their kernel uses:
+    the dense mode is ``scheduler.dense_graph``, charging ``gram_full``.
     """
     if scfg.mode == "dense":
-
-        def dense_builder(stats: GradStats, tau: float, window: int) -> ConflictGraph:
-            ok = included_mask(stats)
-            if counter is not None:
-                k_inc = int(np.count_nonzero(ok))
-                counter.add("gram_full", 2 * k_inc * k_inc * stats.d)
-            return build_graph(row_interference(stats.ema, ok), tau)
-
-        return dense_builder
+        return functools.partial(dense_graph, counter=counter)
 
     if scfg.mode == "jl":
 
@@ -460,10 +456,10 @@ def make_graph_builder(
     if scfg.mode == "fd":
 
         def fd_builder(stats: GradStats, tau: float, window: int) -> ConflictGraph:
-            gram_hat, _, _ = fd_task_gram(stats.ema, scfg.ell, counter=counter)
+            gram_hat, norms, _ = fd_task_gram(stats.ema, scfg.ell, counter=counter)
             if counter is not None:
                 counter.add("fd_gram", 2 * stats.K * stats.K * scfg.ell)
-            ok = included_mask(stats)
+            ok = norms >= stats.norm_floor
             block = np.ix_(ok, ok)
             rho = interference(gram_hat[block], np.sqrt(np.diag(gram_hat))[ok], ok)
             return build_graph(rho, tau)
@@ -473,11 +469,12 @@ def make_graph_builder(
     if scfg.mode == "edge_sample":
 
         def es_builder(stats: GradStats, tau: float, window: int) -> ConflictGraph:
-            idx = np.flatnonzero(included_mask(stats))
+            norms = np.linalg.norm(stats.ema, axis=1)
+            idx = np.flatnonzero(norms >= stats.norm_floor)
             if len(idx) < 2:
                 return ConflictGraph.from_edges(stats.K, (), tau)
             sub = stats.ema[idx]
-            sub_norms = np.linalg.norm(sub, axis=1)
+            sub_norms = norms[idx]
 
             def rho_pair(a: int, b: int) -> float:
                 if counter is not None:

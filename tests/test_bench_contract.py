@@ -26,18 +26,22 @@ def test_every_traced_name_resolves():
         assert callable(getattr(RunRecord, attr, None)), f"RunRecord.{attr} ({span})"
 
 
-def traced_calls(T, combinators=None, **cfg):
-    """Span name -> calls of one traced ``scheduler.run`` of T steps;
-    ``cfg`` adds scheduler config keys."""
+def traced_run(T, combinators=None, **cfg):
+    """Span name -> calls of one traced ``scheduler.run`` of T steps, and
+    the run's record; ``cfg`` adds scheduler config keys."""
     suite = make_planted_suite(
         K=4, d=6, groups=2, tau=0.5, gamma=0.3, sigma=0.5, m0=1.0, seed=0
     )
     cfg = scheduler.SchedulerConfig(K=4, d=6, T=T, R=8, beta=0.8, seed=3, **cfg)
     trace = tracer.Tracer()
     with trace.round():
-        scheduler.run(cfg, PlantedOracle(suite), combinators=combinators)
+        record = scheduler.run(cfg, PlantedOracle(suite), combinators=combinators)
     (spans,) = trace.rounds
-    return {name: calls for name, (calls, _) in trace.self_times(spans).items()}
+    return {name: calls for name, (calls, _) in trace.self_times(spans).items()}, record
+
+
+def traced_calls(T, combinators=None, **cfg):
+    return traced_run(T, combinators, **cfg)[0]
 
 
 def test_a_traced_run_records_one_update_span_per_step():
@@ -61,12 +65,27 @@ def test_a_traced_run_records_one_descent_span_per_step():
     assert traced_calls(T)["grad_stats.tau_eff"] == T
 
 
-def test_a_traced_run_colors_and_covers_once_per_window():
-    # the initial window plus one per refresh, looked up through the module
-    # globals `scheduler.welsh_powell` and `scheduler.enforce_min_coverage`
+def test_a_traced_run_colors_and_covers_once_per_changed_graph():
+    # the initial window plus one per refresh whose graph differs from the
+    # last colored one, looked up through the module globals
+    # `scheduler.welsh_powell` and `scheduler.enforce_min_coverage`; a
+    # refresh with an unchanged graph keeps its window
     T, R = 24, 8
-    calls = traced_calls(T)
+    calls, record = traced_run(T)
+    windows = record.windows
+    changed = sum(a.edges != b.edges for a, b in zip(windows, windows[1:]))
     assert calls["scheduler.refresh"] == T // R
+    assert calls["conflict_graph.build_graph"] == T // R
+    assert changed < T // R                     # some refresh kept its window
+    assert calls["conflict_graph.welsh_powell"] == 1 + changed
+    assert calls["conflict_graph.enforce_min_coverage"] == 1 + changed
+
+
+def test_a_traced_run_with_permuted_classes_colors_at_every_refresh():
+    # `_permuted` draws from the run's generator, so a permuting run
+    # recolors even an unchanged graph to keep its draws
+    T, R = 24, 8
+    calls = traced_calls(T, permute_classes=True)
     assert calls["conflict_graph.welsh_powell"] == T // R + 1
     assert calls["conflict_graph.enforce_min_coverage"] == T // R + 1
 

@@ -79,6 +79,33 @@ class TestGradStats:
             update_ema(stats, [0, 1], np.zeros((2, 3)))
         assert stats.ema.tobytes() == before
 
+    def test_all_task_fold_is_in_place_and_equals_per_row_calls(self):
+        rng = np.random.default_rng(5)
+        ema0 = rng.standard_normal((6, 29)) * np.array([[1.0], [1e-3], [1e3], [0.0], [1e-12], [7.0]])
+        block = rng.standard_normal((6, 29))
+        folded = GradStats(ema=ema0.copy(), beta=0.9)
+        per_row = GradStats(ema=ema0.copy(), beta=0.9)
+        ema = folded.ema
+        update_ema(folded, np.arange(6), block)
+        for k, g in enumerate(block):
+            update_ema(per_row, k, g)
+        assert folded.ema is ema
+        assert folded.ema.tobytes() == per_row.ema.tobytes()
+        assert folded.ema.tobytes() == (0.9 * ema0 + (1.0 - 0.9) * block).tobytes()
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3], [1, 3]], ids=["all_tasks", "subset"])
+    def test_rejected_gradient_leaves_the_ema_bytes(self, rows):
+        stats = GradStats(ema=np.random.default_rng(6).standard_normal((4, 5)), beta=0.8)
+        ema, before = stats.ema, stats.ema.tobytes()
+        n = len(rows)
+        with pytest.raises(ValueError, match="dimension"):
+            update_ema(stats, rows, np.ones((n, 6)))
+        with pytest.raises(ValueError, match="dimension"):
+            update_ema(stats, rows, np.ones((n + 1, 5)))
+        with pytest.raises(ValueError):
+            update_ema(stats, rows, [np.ones(5)] * (n - 1) + [np.ones(4)])
+        assert stats.ema is ema and stats.ema.tobytes() == before
+
     def test_beta_range_enforced(self):
         with pytest.raises(ValueError):
             GradStats.zeros(2, 2, beta=1.0)
