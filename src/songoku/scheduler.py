@@ -7,12 +7,19 @@ duck-typed oracles::
 
     class Oracle:
         def gradient(self, task: int, theta: np.ndarray, rng) -> np.ndarray: ...
+        def gradients(self, tasks: np.ndarray, theta, rng) -> np.ndarray: ...  # optional
         def loss(self, theta: np.ndarray) -> float: ...          # may be nan
         def init_theta(self) -> np.ndarray: ...                  # optional
 
-Probe gradients at a refresh are one fresh ``gradient`` draw per task.
-A gradient of the wrong dimension or with a non-finite entry stops the run
-with ``ValueError`` naming the task and the step.
+Probe gradients at a refresh are one fresh draw per task.  ``gradients``
+serves a whole step's block, or a refresh's K probes, in one call: given
+the ascending task indices it returns the (n, d) block whose row r is what
+``gradient(tasks[r], ...)`` would return, drawing from ``rng`` in the same
+order.  ``run`` uses it only when the class that defines the oracle's
+``gradient`` also defines ``gradients``, so a subclass that overrides just
+``gradient`` is still served task by task.  A gradient of the wrong
+dimension or with a non-finite entry stops the run with ``ValueError``
+naming the task and the step.
 """
 from __future__ import annotations
 
@@ -197,19 +204,20 @@ def refresh(
     window that serves steps ``step`` onward.
 
     ``graph_builder(stats, tau, window)`` makes the graph; the default is
-    ``dense_graph``.  ``probe_gradients`` must cover every task
-    (index-addressable).  A probe of the wrong dimension or with a non-finite
-    entry raises ``ValueError`` naming the task and ``step``.  When the
-    window is frozen (static-grouping ablation) the statistics still advance
-    but the new window keeps its schedule.  A graph whose adjacency equals
-    the one ``state.graph`` holds keeps the schedule too, unless classes are
-    permuted: coloring and coverage are deterministic functions of the
-    adjacency, so recoloring it would give the same window.
+    ``dense_graph``.  ``probe_gradients`` is a (K, d) array, used as it is,
+    or anything else indexed by task that covers every task.  A probe of the
+    wrong dimension or with a non-finite entry raises ``ValueError`` naming
+    the task and ``step``.  When the window is frozen (static-grouping
+    ablation) the statistics still advance but the new window keeps its
+    schedule.  A graph whose adjacency equals the one ``state.graph`` holds
+    keeps the schedule too, unless classes are permuted: coloring and
+    coverage are deterministic functions of the adjacency, so recoloring it
+    would give the same window.
     """
     K = state.cfg.K
-    probes = _gradient_block(
-        [probe_gradients[k] for k in range(K)], range(K), state.cfg.d, step, "probe gradient"
-    )
+    if not isinstance(probe_gradients, np.ndarray):
+        probe_gradients = [probe_gradients[k] for k in range(K)]
+    probes = _gradient_block(probe_gradients, range(K), state.cfg.d, step, "probe gradient")
     update_ema(state.stats, np.arange(K), probes)
     r = state.window.r + 1
     if state.window.frozen:
@@ -228,17 +236,39 @@ def refresh(
     return state
 
 
+def _rows(tasks) -> np.ndarray:
+    """``tasks`` as a read-only index array, safe to hand to an oracle."""
+    rows = np.array(tasks, dtype=np.intp)
+    rows.flags.writeable = False
+    return rows
+
+
 def _slots(window: WindowRecord) -> list:
     """Per slot of a window: its ascending tasks, their EMA rows and mask."""
     extras = dict(window.extra_slots)
     slots = [tuple(sorted(cls + extras.get(s, ()))) for s, cls in enumerate(window.classes, 1)]
-    return [(ts, np.array(ts, dtype=np.intp), active_mask(ts)) for ts in slots]
+    return [(ts, _rows(ts), active_mask(ts)) for ts in slots]
+
+
+def _batch_gradients(oracle):
+    """``oracle.gradients`` when the class that defines the oracle's
+    ``gradient`` defines ``gradients`` too, else None: an override of
+    ``gradient`` alone, on a subclass or on the instance, is served task by
+    task."""
+    if "gradient" in getattr(oracle, "__dict__", {}):
+        return None
+    for cls in type(oracle).__mro__:
+        if "gradient" in vars(cls):
+            return oracle.gradients if "gradients" in vars(cls) else None
+    return None
 
 
 def _gradient_block(grads, tasks, d: int, step: int, kind: str = "gradient") -> np.ndarray:
-    """``grads``, one per task of ``tasks``, as one (n, d) float64 block.  A
-    wrong dimension or a non-finite entry raises ValueError naming the task
-    and the step."""
+    """``grads``, one per task of ``tasks`` (a list, or an (n, d) array used
+    as it is when it is C-ordered float64), as one C-ordered (n, d) float64
+    block, so the step's axis-0 sum adds rows in task order.  A wrong
+    dimension or a non-finite entry raises ValueError naming the task and
+    the step; a block with the wrong number of rows names the step."""
     def name_bad_shape():
         for k, g in zip(tasks, grads):
             if np.shape(g) != (d,):
@@ -248,12 +278,15 @@ def _gradient_block(grads, tasks, d: int, step: int, kind: str = "gradient") -> 
                 )
 
     try:
-        G = np.asarray(grads, dtype=np.float64)
+        G = np.asarray(grads, dtype=np.float64, order="C")
     except (TypeError, ValueError):     # ragged, or not numbers
         name_bad_shape()
         raise
     if G.shape != (len(tasks), d):
         name_bad_shape()
+        raise ValueError(
+            f"{kind} block at step {step} has shape {G.shape}, expected ({len(tasks)}, {d})"
+        )
     if not np.isfinite(G).all():
         bad = tasks[int(np.flatnonzero(~np.isfinite(G).all(axis=1))[0])]
         raise ValueError(f"non-finite {kind} for task {bad} at step {step}")
@@ -263,9 +296,16 @@ def _gradient_block(grads, tasks, d: int, step: int, kind: str = "gradient") -> 
 def _check_descent(A: np.ndarray, sq_total: float, t: int) -> None:
     """Assumption-free aggregate-descent check on the applied block ``A``,
     whose sum has squared norm ``sq_total``: |sum g|^2 >= (1 - tau_eff) *
-    sum ||g||^2, with sum ||g||^2 and tau_eff read off one Gram matrix."""
+    sum ||g||^2, with sum ||g||^2 and tau_eff read off one Gram matrix.  A
+    non-finite |sum|^2 or sum ||g||^2 (finite rows that overflow) raises
+    ValueError naming the step."""
     gram = A @ A.T
     sq = float(np.trace(gram))
+    if not (math.isfinite(sq_total) and math.isfinite(sq)):
+        raise ValueError(
+            f"applied gradients overflow at step {t}: |sum|^2={sq_total}, "
+            f"sum of squared norms={sq}"
+        )
     rhs = (1.0 - tau_eff(gram)) * sq
     if sq_total < rhs - 1e-9 * max(sq, 1.0):
         raise RuntimeError(
@@ -295,6 +335,8 @@ def run(
     record.windows.append(state.window)
     eta = cfg.step_size()
     clock = getattr(oracle, "set_time", None)
+    batch = _batch_gradients(oracle)
+    all_tasks = _rows(range(cfg.K))
     slots = _slots(state.window)
     for t in range(cfg.T):
         if clock is not None:
@@ -302,9 +344,11 @@ def run(
         tau_t = anneal_tau(t, cfg)
         m_t = state.window.m
         tasks, rows, mask = slots[(t - state.window.t_start) % m_t]
-        G = _gradient_block(
-            [oracle.gradient(k, state.theta, state.rng) for k in tasks], tasks, cfg.d, t
-        )
+        if batch is None:
+            grads = [oracle.gradient(k, state.theta, state.rng) for k in tasks]
+        else:
+            grads = batch(rows, state.theta, state.rng)
+        G = _gradient_block(grads, tasks, cfg.d, t)
         loss = float(oracle.loss(state.theta))
         A = apply_combinators(rows, G, combinators, state.scale_ema, state.rng)
         # an axis-0 sum adds the rows in task order, like a running
@@ -318,7 +362,10 @@ def run(
         if did_refresh:
             if clock is not None:
                 clock(t + 1)
-            probes = [oracle.gradient(k, state.theta, state.rng) for k in range(cfg.K)]
+            if batch is None:
+                probes = [oracle.gradient(k, state.theta, state.rng) for k in range(cfg.K)]
+            else:
+                probes = batch(all_tasks, state.theta, state.rng)
             refresh(state, probes, anneal_tau(t, cfg), graph_builder, step=t + 1)
             slots = _slots(state.window)
             record.windows.append(state.window)

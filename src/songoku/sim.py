@@ -203,11 +203,17 @@ def true_graph(suite: PlantedTaskSuite, tau: float | None = None) -> ConflictGra
 
 
 def sample_gradient(
-    suite: PlantedTaskSuite, task: int, rng: np.random.Generator
+    suite: PlantedTaskSuite, task, rng: np.random.Generator
 ) -> np.ndarray:
-    if not 0 <= task < suite.K:
-        raise IndexError(f"task {task} outside 0..{suite.K - 1}")
-    return suite.mu[task] + suite.sigma * rng.standard_normal(suite.d)
+    """One noisy draw ``mu[task] + sigma * z`` for an int ``task``; for an
+    index array of n tasks, an (n, d) block whose row r is task ``task[r]``.
+    The block is one ``(n, d)`` normal draw, which has the bits of n draws
+    of size d in order and leaves ``rng`` in the same state.  An index
+    outside ``0..K-1`` raises IndexError, negative ones included."""
+    idx = np.asarray(task)
+    if idx.size and (idx.min() < 0 or idx.max() >= suite.K):
+        raise IndexError(f"task {idx.tolist()} outside 0..{suite.K - 1}")
+    return suite.mu[idx] + suite.sigma * rng.standard_normal(idx.shape + (suite.d,))
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +603,11 @@ class PlantedOracle:
     def __init__(self, suite: PlantedTaskSuite):
         self.suite = suite
 
-    def gradient(self, task: int, theta: np.ndarray, rng: np.random.Generator):
+    def gradient(self, task, theta: np.ndarray, rng: np.random.Generator):
+        """Task ``task``'s draw, or the (n, d) block of an index array."""
         return sample_gradient(self.suite, task, rng)
+
+    gradients = gradient
 
     def loss(self, theta: np.ndarray) -> float:
         return float("nan")
@@ -614,9 +623,12 @@ class DriftingOracle:
     def set_time(self, t: int) -> None:
         self.t = t
 
-    def gradient(self, task: int, theta: np.ndarray, rng: np.random.Generator):
+    def gradient(self, task, theta: np.ndarray, rng: np.random.Generator):
+        """Task ``task``'s draw, or the (n, d) block of an index array."""
         mu = self.suite.mu_at(self.t)[task]
-        return mu + self.suite.base.sigma * rng.standard_normal(self.suite.base.d)
+        return mu + self.suite.base.sigma * rng.standard_normal(mu.shape)
+
+    gradients = gradient
 
     def loss(self, theta: np.ndarray) -> float:
         return float("nan")

@@ -58,6 +58,13 @@ def test_a_traced_run_folds_once_per_step_and_once_per_refresh():
     assert traced_calls(T)["grad_stats.update_ema"] == T + T // R
 
 
+def test_a_traced_run_samples_once_per_step_and_once_per_refresh():
+    # `sim.sample_gradient` is the module global that `PlantedOracle`'s
+    # batch calls: one block per step and one of all K probes per refresh
+    T, R = 24, 8
+    assert traced_calls(T)["sim.sample_gradient"] == T + T // R
+
+
 def test_a_traced_run_records_one_descent_span_per_step():
     # the step's descent check reads tau_eff through the module global
     # `scheduler.tau_eff`, which the tracer wraps as `grad_stats.tau_eff`

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from songoku import scheduler
 from songoku.combinators import CombinatorConfig
@@ -23,11 +25,14 @@ from songoku.scheduler import (
     run,
 )
 from songoku.sim import (
+    DriftingOracle,
+    DriftingSuite,
     PlantedOracle,
     QuadraticOracle,
     make_planted_suite,
     reference_block_diagonal_instance,
 )
+from songoku.sketch import SKETCH_MODES, SketchConfig, make_graph_builder
 from conftest import active_for_offset
 from test_combinator_reference import as_array, ref_apply_combinators, ref_scale_state
 
@@ -447,6 +452,34 @@ def with_nan(g):
     return g
 
 
+class ConstantOracle:
+    """Every task's gradient is the constant vector ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def gradient(self, task, theta, rng):
+        return np.full(theta.shape, self.value)
+
+    def loss(self, theta):
+        return float("nan")
+
+
+class BlockFaultOracle(PlantedOracle):
+    """Planted oracle whose batched blocks come back as ``fault(block)``.
+    It defines ``gradient`` beside ``gradients``, so ``run`` batches it."""
+
+    def __init__(self, suite, fault):
+        super().__init__(suite)
+        self.fault = fault
+
+    def gradient(self, task, theta, rng):
+        return super().gradient(task, theta, rng)
+
+    def gradients(self, tasks, theta, rng):
+        return self.fault(super().gradients(tasks, theta, rng))
+
+
 class TestBadGradients:
     cfg = SchedulerConfig(K=8, d=32, T=128, R=32, beta=0.9, tau_star=0.5, eta=0.05, seed=0)
 
@@ -472,6 +505,25 @@ class TestBadGradients:
         with pytest.raises(ValueError, match=r"gradient for task 2 at step 0 has dimension \(33,\)"):
             run(self.cfg, FaultyOracle(self.suite(), 2, lambda g: np.append(g, 0.0)))
 
+    def test_finite_rows_that_overflow_raise_naming_the_step(self):
+        # every row is 1e200: |sum|^2 and the Gram trace are inf, and an
+        # inf on both sides of the descent bound would compare as passing
+        cfg = SchedulerConfig(K=3, d=8, T=5, R=2, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"overflow at step 0:"):
+            run(cfg, ConstantOracle(1e200))
+
+    def test_a_batched_block_is_checked_like_the_per_task_draws(self):
+        suite = self.suite()
+        cases = [
+            (lambda G: np.vstack([G, G[:1]]), r"gradient block at step 0 has shape \(\d+, 32\)"),
+            (lambda G: G[:, :31], r"gradient for task \d at step 0 has dimension \(31,\)"),
+            (lambda G: np.where(np.arange(len(G))[:, None] == len(G) - 1, np.nan, G),
+             r"non-finite gradient for task \d at step 0\b"),
+        ]
+        for fault, msg in cases:
+            with pytest.raises(ValueError, match=msg):
+                run(self.cfg, BlockFaultOracle(suite, fault))
+
     def test_refresh_rejects_bad_probe_naming_task(self):
         state = init_state(small_cfg(K=2, d=2))
         state.stats.ema[:] = [[1.0, 2.0], [3.0, 4.0]]   # a zero probe fold would move it
@@ -491,3 +543,133 @@ class TestBadGradients:
         refresh(by_list, probes, tau=0.5, step=8)
         refresh(by_dict, {1: probes[1], 0: probes[0]}, tau=0.5, step=8)
         assert by_dict.stats.ema.tobytes() == by_list.stats.ema.tobytes()
+
+
+class GradientOnly:
+    """``oracle`` with only the per-task protocol: ``gradient``, ``loss``
+    and, when the oracle has one, the clock."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        if hasattr(oracle, "set_time"):
+            self.set_time = oracle.set_time
+
+    def gradient(self, task, theta, rng):
+        return self.oracle.gradient(task, theta, rng)
+
+    def loss(self, theta):
+        return self.oracle.loss(theta)
+
+
+class PerTaskOnly(PlantedOracle):
+    """Overrides only ``gradient``, so ``run`` must not use the inherited
+    ``gradients``; records each task it is asked for."""
+
+    def __init__(self, suite):
+        super().__init__(suite)
+        self.asked = []
+
+    def gradient(self, task, theta, rng):
+        self.asked.append(task)
+        return super().gradient(task, theta, rng)
+
+
+class Stamped(PlantedOracle):
+    """Adds a clock only, so the class that defines ``gradient`` still
+    defines ``gradients``."""
+
+    def set_time(self, t):
+        self.t = t
+
+
+def run_capturing_state(cfg, oracle, combinators=None, graph_builder=None):
+    """``run``'s record and its final state."""
+    states = []
+
+    def capture(*args, **kwargs):
+        states.append(init_state(*args, **kwargs))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "init_state", capture)
+        record = run(cfg, oracle, combinators, graph_builder)
+    (state,) = states
+    return record, state
+
+
+class TestBatchedOracle:
+    @given(
+        seed=st.integers(0, 2**16),
+        mode=st.sampled_from(SKETCH_MODES),
+        combinator=st.sampled_from(["none", "project", "adaptive_scale", "project_and_scale"]),
+        drifting=st.booleans(),
+        frozen=st.booleans(),
+        permute=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_batched_run_has_the_bits_of_a_per_task_run(
+        self, seed, mode, combinator, drifting, frozen, permute
+    ):
+        K, d = 12, 24
+        suite = make_planted_suite(
+            K=K, d=d, groups=3, tau=0.3, gamma=0.1, sigma=0.05, m0=1.0, seed=seed
+        )
+
+        def oracle():
+            if drifting:
+                return DriftingOracle(DriftingSuite(base=suite, flip_task=seed % K, flip_time=40))
+            return PlantedOracle(suite)
+
+        cfg = SchedulerConfig(
+            K=K, d=d, T=96, R=8, f_min=2, tau_star=0.3, seed=seed,
+            permute_classes=permute, freeze_after_first_coloring=frozen,
+        )
+        comb = CombinatorConfig(mode=combinator)
+        runs = [
+            run_capturing_state(
+                cfg, o, comb, make_graph_builder(SketchConfig(mode=mode), seed=seed)
+            )
+            for o in (oracle(), GradientOnly(oracle()))
+        ]
+        (batched, b_state), (per_task, p_state) = runs
+        assert batched.to_csv() == per_task.to_csv()
+        assert batched.windows == per_task.windows
+        assert b_state.theta.tobytes() == p_state.theta.tobytes()
+        assert b_state.stats.ema.tobytes() == p_state.stats.ema.tobytes()
+
+    def test_a_subclass_overriding_only_gradient_is_served_per_task(self):
+        suite = planted_oracle(K=6, d=8).suite
+        cfg = small_cfg(K=6, d=8, T=40, R=8)
+        oracle = PerTaskOnly(suite)
+        record = run(cfg, oracle)
+        served = [k for row in record.steps for k in tasks_from_mask(row.active_mask)]
+        per_refresh = list(range(cfg.K)) * (cfg.T // cfg.R)
+        assert sorted(oracle.asked) == sorted(served + per_refresh)
+        assert all(type(k) is int for k in oracle.asked)
+        assert record.to_csv() == run(cfg, PlantedOracle(suite)).to_csv()
+
+    def test_a_column_major_block_keeps_the_bits(self):
+        # the step sums its block along axis 0; over a column-major block
+        # numpy would add each column pairwise, not row by row in task order
+        suite = make_planted_suite(
+            K=32, d=16, groups=2, tau=0.5, gamma=0.3, sigma=0.5, m0=1.0, seed=4
+        )
+        cfg = SchedulerConfig(K=32, d=16, T=64, R=16, tau_star=0.5, seed=4)
+        expect = run(cfg, GradientOnly(PlantedOracle(suite))).to_csv()
+        assert run(cfg, BlockFaultOracle(suite, np.asfortranarray)).to_csv() == expect
+
+    def test_which_oracles_batch(self):
+        suite = planted_oracle().suite
+        patched = PlantedOracle(suite)
+        patched.gradient = lambda task, theta, rng: np.zeros(theta.shape)
+        for oracle, batches in [
+            (PlantedOracle(suite), True),
+            (Stamped(suite), True),
+            (DriftingOracle(DriftingSuite(base=suite, flip_task=0, flip_time=1)), True),
+            (PerTaskOnly(suite), False),
+            (GradientOnly(PlantedOracle(suite)), False),
+            (patched, False),
+        ]:
+            batch = scheduler._batch_gradients(oracle)
+            assert (batch is not None) == batches
+            assert batch is None or batch == oracle.gradients

@@ -306,6 +306,63 @@ class TestDriftingWorld:
         np.testing.assert_allclose(g_after, -g_before)
 
 
+@st.composite
+def task_subsets(draw):
+    """(seed, K, ascending task indices) with 0 to K tasks."""
+    K = draw(st.integers(2, 12))
+    tasks = draw(st.lists(st.integers(0, K - 1), unique=True, max_size=K))
+    return draw(st.integers(0, 2**16)), K, np.array(sorted(tasks), dtype=np.intp)
+
+
+def same_draws(oracle, tasks, seed, d):
+    """``oracle.gradients`` and the stacked ``oracle.gradient`` draws from
+    two generators seeded alike: equal bits, and the generators left in the
+    same state."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = oracle.gradients(tasks, np.zeros(d), rng_a)
+    rows = [oracle.gradient(k, np.zeros(d), rng_b) for k in tasks.tolist()]
+    assert block.shape == (len(tasks), d)
+    assert block.tobytes() == (np.stack(rows).tobytes() if rows else b"")
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class TestBatchedOracles:
+    @staticmethod
+    def suite(K, seed):
+        return make_planted_suite(
+            K=K, d=16, groups=min(K, 3), tau=0.3, gamma=0.1, sigma=0.7, m0=1.0, seed=seed
+        )
+
+    @given(task_subsets())
+    @settings(max_examples=60, deadline=None)
+    def test_planted_block_has_the_bits_of_the_per_task_draws(self, case):
+        seed, K, tasks = case
+        oracle = PlantedOracle(self.suite(K, seed))
+        same_draws(oracle, tasks, seed, d=16)
+
+    @given(task_subsets(), st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_drifting_block_has_the_bits_of_the_per_task_draws(self, case, t):
+        seed, K, tasks = case
+        drift = DriftingSuite(base=self.suite(K, seed), flip_task=seed % K, flip_time=10)
+        oracle = DriftingOracle(drift)
+        oracle.set_time(t)      # before the flip for t < 10, after it from 10 on
+        same_draws(oracle, tasks, seed, d=16)
+
+    @pytest.mark.parametrize("bad", [[-1], [0, 4], [2, 5], [-4, 1]])
+    def test_array_form_rejects_an_index_outside_the_suite(self, bad):
+        suite = self.suite(4, 0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(IndexError, match=r"outside 0\.\.3"):
+            sample_gradient(suite, np.array(bad), rng)
+        for k in bad:           # as the int form does, task by task
+            if not 0 <= k < 4:
+                with pytest.raises(IndexError, match=r"outside 0\.\.3"):
+                    sample_gradient(suite, k, rng)
+        assert rng.bit_generator.state == state     # a rejected call draws nothing
+
+
 class TestOracles:
     def test_planted_oracle_loss_is_nan(self):
         suite = make_planted_suite(
