@@ -206,6 +206,11 @@ def _cross_validate(cfg: dict) -> None:
         )
     if cfg["K"] < cfg["groups"]:
         raise ConfigError("groups", f"value {cfg['groups']} exceeds K = {cfg['K']}")
+    # edge_sample_graph refuses it at the first refresh: say so before the run
+    budget = cfg["pair_budget"]
+    if cfg["sketch_mode"] == "edge_sample" and budget is not None and budget < cfg["K"]:
+        raise ConfigError("pair_budget", f"value {budget} outside legal range "
+                          f"[{cfg['K']}, inf) for sketch_mode = edge_sample")
 
 
 def emit_config(cfg: dict) -> str:

@@ -1,9 +1,10 @@
 """Conflict graph construction, Welsh-Powell coloring, and coverage augmentation.
 
 A conflict graph connects tasks whose interference coefficient exceeds the
-threshold tau.  Coloring it groups mutually compatible tasks; the color
-classes, plus the extra copies coverage places, then rotate as the cyclic
-training schedule (``records.WindowRecord``).
+threshold tau; ``build_graph`` is the one path from a Gram to that graph.
+Coloring it groups mutually compatible tasks; the color classes, plus the
+extra copies coverage places, then rotate as the cyclic training schedule
+(``records.WindowRecord``).
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .grad_stats import cosine_rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,17 +69,22 @@ class ConflictGraph:
         return frozenset(self.sorted_edges)
 
 
-def build_graph(rho: np.ndarray, tau: float) -> ConflictGraph:
-    """Threshold a (K, K) interference matrix: edge (i, j) iff rho[i, j] > tau.
+def build_graph(gram, norms, included, tau: float) -> ConflictGraph:
+    """Edge (i, j) iff rho_ij = cosine_rho(gram_ij, n_i, n_j) > tau, for the
+    (n, n) ``gram`` and (n,) ``norms`` of the rows that the (K,) bool mask
+    ``included`` selects, in ascending order; the other tasks are isolated.
 
-    Strict inequality — boundary equality is a non-edge.  Only the upper
-    triangle is read, and it is mirrored.  A NaN entry is never an edge, so
-    tasks outside the kernel's included block end up as isolated vertices.
+    Only the block's upper triangle is thresholded, then mirrored.  Boundary
+    equality is a non-edge, the clip at 1 leaves tau = 1 edgeless, and a
+    zero row (zero norm and Gram entries, so NaN rho) has no edges.
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau={tau} outside (0, 1]")
-    upper = np.triu(rho > tau, 1)
-    return ConflictGraph(upper | upper.T, tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.triu(cosine_rho(gram, norms[:, None], norms[None, :]) > tau, 1)
+    adj = np.zeros((len(included), len(included)), dtype=bool)
+    adj[np.ix_(included, included)] = upper | upper.T
+    return ConflictGraph(adj, tau)
 
 
 def max_degree(graph: ConflictGraph) -> int:

@@ -1,8 +1,9 @@
-"""Per-task EMA gradient buffers, the interference kernel, and descent-bound helpers.
+"""Per-task EMA gradient buffers, the cosine kernel, and descent-bound helpers.
 
-The interference coefficient between two tasks is the negated cosine of their
-averaged gradients: positive values mean the tasks pull the shared parameters
-in opposing directions.
+The interference coefficient between two tasks, ``cosine_rho``, is the negated
+cosine of their averaged gradients: positive values mean the tasks pull the
+shared parameters in opposing directions.  ``included_mask`` says which tasks
+take part in a graph; ``conflict_graph.build_graph`` thresholds their rho.
 """
 from __future__ import annotations
 
@@ -47,11 +48,13 @@ class GradStats:
         return self.ema.shape[1]
 
 
-def included_mask(stats: GradStats) -> np.ndarray:
-    """The (K,) bool mask of tasks whose EMA row norm reaches ``norm_floor``:
-    the tasks that take part in an interference graph.  A NaN norm is not
-    included."""
-    return np.linalg.norm(stats.ema, axis=1) >= stats.norm_floor
+def included_mask(stats: GradStats, norms: np.ndarray | None = None) -> np.ndarray:
+    """The (K,) bool mask of tasks whose row norm reaches ``norm_floor``: the
+    tasks that take part in an interference graph.  ``norms`` defaults to
+    the EMA row norms; a caller that already holds norms passes them.  A NaN
+    norm is not included."""
+    norms = np.linalg.norm(stats.ema, axis=1) if norms is None else norms
+    return norms >= stats.norm_floor
 
 
 def update_ema(stats: GradStats, task, grad) -> GradStats:
@@ -141,36 +144,6 @@ def cosine_rho(gram, norm_i, norm_j):
     kernel for one pair, or for a block when the norms broadcast.  The clip
     is a maximum then a minimum, which costs a pair half of ``np.clip``."""
     return -np.minimum(np.maximum(gram / (norm_i * norm_j), -1.0), 1.0)
-
-
-def interference(gram: np.ndarray, norms: np.ndarray, included: np.ndarray) -> np.ndarray:
-    """The (K, K) interference matrix of a Gram, as a plain array:
-    rho_ij = cosine_rho(gram_ij, n_i, n_j).
-
-    ``gram`` (n, n) and ``norms`` (n,) belong to the rows that the (K,) bool
-    mask ``included`` selects, in ascending task order.  Entries outside the
-    included block are NaN, the diagonal is -1, and the block is mirrored
-    from its upper triangle, so rho is exactly symmetric.  Clipping keeps
-    every entry in [-1, 1], so a graph thresholded at tau = 1 has no edges.
-    A zero row (zero norm and zero Gram entries) gives NaN entries, which
-    never become edges.
-    """
-    K = len(included)
-    idx = np.flatnonzero(included)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        block = cosine_rho(gram, norms[:, None], norms[None, :])
-    block = np.triu(block, 1)
-    block += block.T
-    np.fill_diagonal(block, -1.0)
-    rho = np.full((K, K), np.nan)
-    rho[np.ix_(idx, idx)] = block
-    return rho
-
-
-def row_interference(rows: np.ndarray, included: np.ndarray) -> np.ndarray:
-    """The kernel on the Gram and the norms of the ``included`` rows."""
-    M = rows[included]
-    return interference(M @ M.T, np.linalg.norm(M, axis=1), included)
 
 
 def tau_eff(gram: np.ndarray) -> float:

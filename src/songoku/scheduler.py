@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .grad_stats import GradStats, interference, tau_eff, update_ema
+from .grad_stats import GradStats, included_mask, tau_eff, update_ema
 from .conflict_graph import (
     Coloring,
     ConflictGraph,
@@ -118,17 +118,17 @@ def anneal_tau(t: int, cfg: SchedulerConfig) -> float:
 
 def dense_graph(stats: GradStats, tau: float, window=None, counter=None) -> ConflictGraph:
     """The exact refresh graph, and the ``dense`` sketch mode's graph
-    builder: the cosine kernel on the included EMA rows, thresholded at
-    tau.  One norm pass gives both the inclusion mask and the kernel's
-    norms.  With fewer than two included tasks it has no edges.
-    ``window`` is unused; ``counter`` (a ``sketch.FlopCounter``) is charged
-    the Gram's flops as ``gram_full``."""
+    builder: ``build_graph`` on the Gram of the included EMA rows.  One norm
+    pass gives both the inclusion mask and the kernel's norms.  With fewer
+    than two included tasks it has no edges.  ``window`` is unused;
+    ``counter`` (a ``sketch.FlopCounter``) is charged the Gram's flops as
+    ``gram_full``."""
     norms = np.linalg.norm(stats.ema, axis=1)
-    ok = norms >= stats.norm_floor
+    ok = included_mask(stats, norms)
     M = stats.ema[ok]
     if counter is not None:
         counter.add("gram_full", 2 * len(M) * len(M) * stats.d)
-    return build_graph(interference(M @ M.T, norms[ok], ok), tau)
+    return build_graph(M @ M.T, norms[ok], ok, tau)
 
 
 @dataclass

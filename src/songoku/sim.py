@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .conflict_graph import ConflictGraph, build_graph
-from .grad_stats import cosine_rho, row_interference
+from .grad_stats import cosine_rho
 
 # Calibrated once on the reference recovery configuration (K=8, d=8, two
 # groups, tau=0.5, gamma=0.3, sigma=1, m0=1): the smallest half-integer
@@ -193,7 +193,7 @@ def audit_margins(suite: PlantedTaskSuite) -> dict:
 
 
 def _mean_graph(mu: np.ndarray, tau: float) -> ConflictGraph:
-    return build_graph(row_interference(mu, np.ones(len(mu), dtype=bool)), tau)
+    return build_graph(mu @ mu.T, np.linalg.norm(mu, axis=1), np.ones(len(mu), bool), tau)
 
 
 def true_graph(suite: PlantedTaskSuite, tau: float | None = None) -> ConflictGraph:
@@ -210,10 +210,15 @@ def sample_gradient(
     The block is one ``(n, d)`` normal draw, which has the bits of n draws
     of size d in order and leaves ``rng`` in the same state.  An index
     outside ``0..K-1`` raises IndexError, negative ones included."""
+    return _draw(suite.mu, suite.sigma, task, rng)
+
+
+def _draw(mu: np.ndarray, sigma: float, task, rng: np.random.Generator) -> np.ndarray:
+    """``mu[task] + sigma * z``, checked: ``sample_gradient`` and ``DriftingOracle``."""
     idx = np.asarray(task)
-    if idx.size and (idx.min() < 0 or idx.max() >= suite.K):
-        raise IndexError(f"task {idx.tolist()} outside 0..{suite.K - 1}")
-    return suite.mu[idx] + suite.sigma * rng.standard_normal(idx.shape + (suite.d,))
+    if idx.size and (idx.min() < 0 or idx.max() >= len(mu)):
+        raise IndexError(f"task {idx.tolist()} outside 0..{len(mu) - 1}")
+    return mu[idx] + sigma * rng.standard_normal(idx.shape + mu.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +630,7 @@ class DriftingOracle:
 
     def gradient(self, task, theta: np.ndarray, rng: np.random.Generator):
         """Task ``task``'s draw, or the (n, d) block of an index array."""
-        mu = self.suite.mu_at(self.t)[task]
-        return mu + self.suite.base.sigma * rng.standard_normal(mu.shape)
+        return _draw(self.suite.mu_at(self.t), self.suite.base.sigma, task, rng)
 
     gradients = gradient
 

@@ -1,6 +1,8 @@
-"""Cost reducers for interference-matrix construction.
+"""Cost reducers for the Gram that an interference graph is built from.
 
-Four alternatives to the dense K x K x d Gram computation:
+Four alternatives to the dense K x K x d Gram computation.  Like the dense
+builder, the jl, fd and incremental ones pass their Gram block of the included
+tasks to ``conflict_graph.build_graph``; edge_sample evaluates pairs alone:
 
 * ``jl_project`` — random projection of the task rows to r dims.  The jl
   builder takes r from ``SketchConfig.r`` and ignores ``epsilon``
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conflict_graph import ConflictGraph, build_graph
-from .grad_stats import GradStats, cosine_rho, included_mask, interference, row_interference
+from .grad_stats import GradStats, cosine_rho, included_mask
 from .scheduler import dense_graph
 
 SKETCH_MODES = ("dense", "jl", "fd", "edge_sample", "incremental")
@@ -434,10 +436,11 @@ def make_graph_builder(
 
     The incremental mode owns a persistent GramCache across windows; JL draws
     a fresh seeded projection per window.  Which tasks take part is read off
-    the EMA norms each time a graph is built; a task whose norm sits below
-    the statistics floor is isolated in every mode.  The dense, fd and
-    edge_sample modes take those norms in the same pass their kernel uses:
-    the dense mode is ``scheduler.dense_graph``, charging ``gram_full``.
+    the EMA norms by ``grad_stats.included_mask`` each time a graph is
+    built; a task whose norm sits below the statistics floor is isolated in
+    every mode.  The dense, fd and edge_sample modes take those norms in the
+    same pass their kernel uses: the dense mode is ``scheduler.dense_graph``,
+    charging ``gram_full``.
     """
     if scfg.mode == "dense":
         return functools.partial(dense_graph, counter=counter)
@@ -449,7 +452,9 @@ def make_graph_builder(
             sketch = jl_project(stats.ema, r, seed + window, counter=counter)
             if counter is not None:
                 counter.add("jl_gram", 2 * stats.K * stats.K * r)
-            return build_graph(row_interference(sketch, included_mask(stats)), tau)
+            ok = included_mask(stats)
+            M = sketch[ok]
+            return build_graph(M @ M.T, np.linalg.norm(M, axis=1), ok, tau)
 
         return jl_builder
 
@@ -459,10 +464,9 @@ def make_graph_builder(
             gram_hat, norms, _ = fd_task_gram(stats.ema, scfg.ell, counter=counter)
             if counter is not None:
                 counter.add("fd_gram", 2 * stats.K * stats.K * scfg.ell)
-            ok = norms >= stats.norm_floor
-            block = np.ix_(ok, ok)
-            rho = interference(gram_hat[block], np.sqrt(np.diag(gram_hat))[ok], ok)
-            return build_graph(rho, tau)
+            ok = included_mask(stats, norms)
+            gram = gram_hat[np.ix_(ok, ok)]
+            return build_graph(gram, np.sqrt(np.diag(gram)), ok, tau)
 
         return fd_builder
 
@@ -470,7 +474,7 @@ def make_graph_builder(
 
         def es_builder(stats: GradStats, tau: float, window: int) -> ConflictGraph:
             norms = np.linalg.norm(stats.ema, axis=1)
-            idx = np.flatnonzero(norms >= stats.norm_floor)
+            idx = np.flatnonzero(included_mask(stats, norms))
             if len(idx) < 2:
                 return ConflictGraph.from_edges(stats.K, (), tau)
             sub = stats.ema[idx]
@@ -513,9 +517,8 @@ def make_graph_builder(
             # the kernel divides by the cached norms, and a row whose drift
             # stayed under change_threshold keeps a stale one: a stale norm
             # below the floor would divide by (nearly) zero
-            ok = included_mask(stats) & (cache.row_norms >= stats.norm_floor)
-            rho = interference(cache.gram[np.ix_(ok, ok)], cache.row_norms[ok], ok)
-            return build_graph(rho, tau)
+            ok = included_mask(stats) & included_mask(stats, cache.row_norms)
+            return build_graph(cache.gram[np.ix_(ok, ok)], cache.row_norms[ok], ok, tau)
 
         return inc_builder
 

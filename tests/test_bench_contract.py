@@ -8,6 +8,8 @@ longer calls leaves its span reading 0; these tests catch both.
 import os
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "schedule_bench")]
 
@@ -26,7 +28,7 @@ def test_every_traced_name_resolves():
         assert callable(getattr(RunRecord, attr, None)), f"RunRecord.{attr} ({span})"
 
 
-def traced_run(T, combinators=None, **cfg):
+def traced_run(T, combinators=None, graph_builder=None, **cfg):
     """Span name -> calls of one traced ``scheduler.run`` of T steps, and
     the run's record; ``cfg`` adds scheduler config keys."""
     suite = make_planted_suite(
@@ -35,13 +37,15 @@ def traced_run(T, combinators=None, **cfg):
     cfg = scheduler.SchedulerConfig(K=4, d=6, T=T, R=8, beta=0.8, seed=3, **cfg)
     trace = tracer.Tracer()
     with trace.round():
-        record = scheduler.run(cfg, PlantedOracle(suite), combinators=combinators)
+        record = scheduler.run(
+            cfg, PlantedOracle(suite), combinators=combinators, graph_builder=graph_builder
+        )
     (spans,) = trace.rounds
     return {name: calls for name, (calls, _) in trace.self_times(spans).items()}, record
 
 
-def traced_calls(T, combinators=None, **cfg):
-    return traced_run(T, combinators, **cfg)[0]
+def traced_calls(T, combinators=None, graph_builder=None, **cfg):
+    return traced_run(T, combinators, graph_builder, **cfg)[0]
 
 
 def test_a_traced_run_records_one_update_span_per_step():
@@ -86,6 +90,19 @@ def test_a_traced_run_colors_and_covers_once_per_changed_graph():
     assert changed < T // R                     # some refresh kept its window
     assert calls["conflict_graph.welsh_powell"] == 1 + changed
     assert calls["conflict_graph.enforce_min_coverage"] == 1 + changed
+
+
+@pytest.mark.parametrize("mode", ["dense", "jl", "fd", "incremental"])
+def test_a_traced_run_builds_every_refresh_graph_through_build_graph(mode):
+    # these builders hand their Gram block to the module global
+    # `build_graph` of `scheduler` (dense) or `sketch`, which the tracer
+    # wraps as `conflict_graph.build_graph`; that span's self time includes
+    # the cosine kernel
+    T, R = 24, 8
+    builder = sketch.make_graph_builder(sketch.SketchConfig(mode=mode), seed=0)
+    calls = traced_calls(T, graph_builder=builder)
+    assert calls["scheduler.refresh"] == T // R
+    assert calls["conflict_graph.build_graph"] == T // R
 
 
 def test_a_traced_run_with_permuted_classes_colors_at_every_refresh():

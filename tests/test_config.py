@@ -225,6 +225,19 @@ class TestCrossValidation:
         assert "[2, inf)" in str(err.value)
         assert parse_config(overrides={"sketch_ell": 2})["sketch_ell"] == 2
 
+    def test_edge_sample_budget_below_K_rejected_at_parse_time(self):
+        # this used to run a whole refresh period and then stop with a
+        # generic ValueError from the sampler
+        with pytest.raises(ConfigError) as err:
+            parse_config(overrides={"sketch_mode": "edge_sample", "K": 8, "pair_budget": 4})
+        assert err.value.field == "pair_budget"
+        assert "[8, inf)" in str(err.value)
+        cfg = parse_config(overrides={"sketch_mode": "edge_sample", "K": 8, "pair_budget": 8})
+        assert cfg["pair_budget"] == 8
+        # the budget binds only the edge_sample mode, and None is its default
+        assert parse_config(overrides={"sketch_mode": "fd", "K": 8, "pair_budget": 4})
+        assert parse_config(overrides={"sketch_mode": "edge_sample", "K": 8})
+
     def test_groups_cannot_exceed_tasks(self):
         with pytest.raises(ConfigError) as err:
             parse_config(overrides={"K": 2, "groups": 3})

@@ -12,7 +12,7 @@ from songoku.conflict_graph import (
     max_degree,
     welsh_powell,
 )
-from songoku.grad_stats import GradStats, row_interference
+from songoku.grad_stats import GradStats
 from songoku.scheduler import dense_graph
 
 
@@ -37,11 +37,14 @@ class TestBuildGraph:
         assert g.degrees[2] == 0
 
     def test_tau_validation(self):
-        rho = row_interference(np.eye(2), np.ones(2, dtype=bool))
-        for tau in (0.0, -0.5, 1.5):
+        gram = np.array([[1.0, -1.0], [-1.0, 1.0]])     # an opposing unit pair: rho = 1
+        block = (gram, np.ones(2), np.ones(2, dtype=bool))
+        for tau in (0.0, -0.5, 1.5, float("nan")):
             with pytest.raises(ValueError):
-                build_graph(rho, tau)
-        build_graph(rho, 1.0)  # tau = 1 legal: graph is always empty
+                build_graph(*block, tau)
+        assert build_graph(*block, 0.5).edges == {(0, 1)}
+        # tau = 1 legal: graph is always empty
+        assert build_graph(*block, 1.0).edges == frozenset()
 
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):

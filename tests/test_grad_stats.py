@@ -10,13 +10,14 @@ from songoku.grad_stats import (
     DescentCheck,
     GradStats,
     beta_for_effective_sample_size,
+    cosine_rho,
     descent_check,
     effective_sample_size,
     included_mask,
-    row_interference,
     tau_eff,
     update_ema,
 )
+from songoku.scheduler import dense_graph
 
 
 def gram(rows) -> np.ndarray:
@@ -161,46 +162,67 @@ class TestEffectiveSampleSize:
             beta_for_effective_sample_size(9.0, 8)
 
 
-def _rho(rows, beta=0.9):
-    """The dense refresh's kernel call on EMA rows ``rows``."""
+def _kernel(rows):
+    """rho of every pair of ``rows``, by ``cosine_rho`` on their Gram."""
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    return cosine_rho(rows @ rows.T, norms[:, None], norms[None, :])
+
+
+def _adjacency(rows, tau=0.5, beta=0.9):
+    """The dense refresh graph's adjacency on EMA rows ``rows``."""
     stats = GradStats(ema=np.asarray(rows, dtype=np.float64), beta=beta)
-    return row_interference(stats.ema, included_mask(stats))
+    return dense_graph(stats, tau).adj
 
 
 class TestInterferenceMatrix:
+    """rho as ``cosine_rho`` gives it, and the adjacency ``build_graph``
+    thresholds from it."""
+
     def test_opposing_pair(self):
-        rho = _rho([[1.0, 0.0], [-1.0, 0.0]])
-        assert rho[0, 1] == pytest.approx(1.0)
-        assert rho[1, 0] == pytest.approx(1.0)
+        rows = [[1.0, 0.0], [-1.0, 0.0]]
+        assert _kernel(rows)[0, 1] == 1.0 and _kernel(rows)[1, 0] == 1.0
+        assert _adjacency(rows, tau=0.99)[0, 1]
+        assert not _adjacency(rows, tau=1.0).any()     # rho = 1 is not above tau = 1
 
     def test_diagonal_is_minus_one(self):
-        rho = _rho(np.eye(3))
-        assert np.all(np.diag(rho) == -1.0)
+        # a row against itself has rho = -1, so no tau in (0, 1] makes a
+        # self-loop, not even on a row that has edges
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0], [0.0, 3.0]])
+        assert np.diag(_kernel(rows)).tolist() == [-1.0] * 4
+        for tau in (1e-9, 0.5, 1.0):
+            assert not np.diag(_adjacency(rows, tau)).any()
 
     def test_orthogonal_pair_is_zero(self):
-        rho = _rho([[1.0, 0.0], [0.0, 2.0]])
-        assert rho[0, 1] == pytest.approx(0.0, abs=1e-15)
+        rows = [[1.0, 0.0], [0.0, 2.0]]
+        assert _kernel(rows)[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert not _adjacency(rows, tau=1e-9).any()
 
-    def test_excluded_rows_are_nan(self):
-        rho = _rho([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert rho.shape == (3, 3)
-        assert np.isnan(rho[2]).all() and np.isnan(rho[:, 2]).all()
-        assert np.isfinite(rho[:2, :2]).all()
+    def test_excluded_rows_are_isolated(self):
+        # row 2 opposes row 0 but sits below the norm floor
+        rows = [[1.0, 0.0], [-1.0, 0.0], [-1e-9, 0.0], [0.0, 0.0]]
+        stats = GradStats(ema=np.array(rows), beta=0.9)
+        assert included_mask(stats).tolist() == [True, True, False, False]
+        adj = _adjacency(rows, tau=0.5)
+        assert adj.shape == (4, 4)
+        assert adj[0, 1] and not adj[2].any() and not adj[:, 2].any()
+        assert not adj[3].any() and not adj[:, 3].any()
 
     @given(
         hnp.arrays(
             np.float64,
             st.tuples(st.integers(2, 6), st.integers(2, 5)),
             elements=st.floats(-5, 5, allow_nan=False),
-        )
+        ),
+        st.floats(0.01, 1.0),
     )
     @settings(max_examples=150)
-    def test_symmetry_and_range(self, rows):
-        rho = _rho(rows, beta=0.5)
+    def test_symmetry_and_range(self, rows, tau):
+        adj = _adjacency(rows, tau, beta=0.5)
+        assert np.array_equal(adj, adj.T)  # bitwise symmetric
         idx = np.flatnonzero(np.linalg.norm(rows, axis=1) >= 1e-8)
-        sub = rho[np.ix_(idx, idx)]
-        assert np.array_equal(sub, sub.T)  # bitwise symmetric
-        assert np.all(sub >= -1.0 - 1e-9) and np.all(sub <= 1.0 + 1e-9)
+        rho = _kernel(rows[idx])
+        assert np.all(rho >= -1.0) and np.all(rho <= 1.0)
 
 
 class TestTauEff:

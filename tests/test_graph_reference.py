@@ -15,12 +15,14 @@ from songoku.conflict_graph import ConflictGraph, build_graph, enforce_min_cover
 
 
 def ref_build_graph(rho, included, tau):
+    """Included pairs whose rho, clipped at 1 as the kernel clips it, is
+    above tau."""
     edges = set()
     idx = np.flatnonzero(included)
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
             i, j = int(idx[a]), int(idx[b])
-            if rho[i, j] > tau:
+            if min(rho[i, j], 1.0) > tau:
                 edges.add((i, j))
     return frozenset(edges)
 
@@ -74,7 +76,8 @@ def ref_coverage(K, edges, color_of, classes, f_min):
 
 def random_matrix(K, p, q, tau, seed):
     """A symmetric rho whose upper pairs exceed tau with probability p; rows
-    excluded with probability q are NaN.  Some pairs sit exactly at tau."""
+    excluded with probability q are NaN.  Some pairs sit exactly at tau, and
+    some above 1, where the kernel's clip makes them non-edges at tau = 1."""
     rng = np.random.default_rng(seed)
     above = rng.uniform(np.nextafter(tau, 2.0), 1.0 + 1e-12, (K, K))
     below = rng.uniform(-1.0, tau, (K, K))
@@ -92,7 +95,9 @@ def random_matrix(K, p, q, tau, seed):
 def assert_matches_reference(mat, tau, f_min):
     rho, included = mat
     K = len(included)
-    graph = build_graph(rho, tau)
+    # with unit norms, cosine_rho(-rho) gives back rho, clipped to [-1, 1]
+    block = np.ix_(included, included)
+    graph = build_graph(-rho[block], np.ones(int(included.sum())), included, tau)
     edges = ref_build_graph(rho, included, tau)
     assert graph.edges == edges
     assert graph.sorted_edges == tuple(sorted(edges))
@@ -132,3 +137,13 @@ def test_sparse_graphs_place_extras_like_the_reference():
         mat = random_matrix(30, 0.08, 0.1, 0.5, seed)
         placed += assert_matches_reference(mat, 0.5, 1 + seed % 4)
     assert placed > 100
+
+
+def test_pairs_above_one_are_no_edges_at_tau_one():
+    # the generator draws rho up to 1 + 1e-12, as a rounded cosine below -1
+    # gives; the kernel's clip at 1 leaves them non-edges at tau = 1
+    for seed in range(10):
+        rho, included = random_matrix(20, 0.5, 0.1, 1.0, seed)
+        assert (rho[np.ix_(included, included)] > 1.0).any()
+        assert ref_build_graph(rho, included, 1.0) == frozenset()
+        assert_matches_reference((rho, included), 1.0, 2)

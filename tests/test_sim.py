@@ -362,6 +362,20 @@ class TestBatchedOracles:
                     sample_gradient(suite, k, rng)
         assert rng.bit_generator.state == state     # a rejected call draws nothing
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("t", [0, 10])
+    def test_both_oracles_reject_an_index_outside_the_suite(self, bad, t):
+        # numpy would wrap -1 to task K-1 and name 4 only as "out of bounds"
+        drifting = DriftingOracle(DriftingSuite(base=self.suite(4, 0), flip_task=1, flip_time=10))
+        drifting.set_time(t)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for oracle in (PlantedOracle(self.suite(4, 0)), drifting):
+            for task in (bad, np.array([0, bad])):
+                with pytest.raises(IndexError, match=r"outside 0\.\.3"):
+                    oracle.gradient(task, np.zeros(16), rng)
+        assert rng.bit_generator.state == state
+
 
 class TestOracles:
     def test_planted_oracle_loss_is_nan(self):
